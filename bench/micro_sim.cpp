@@ -32,6 +32,7 @@
 #include "core/block_cyclic.hpp"
 #include "core/g2dbc.hpp"
 #include "sim/engine.hpp"
+#include "sim/workload.hpp"
 #include "util/sysinfo.hpp"
 
 using namespace anyblock;
@@ -49,11 +50,12 @@ sim::MachineConfig machine(std::int64_t nodes) {
 void BM_BuildLuWorkload(benchmark::State& state) {
   const std::int64_t t = state.range(0);
   const auto config = machine(23);
-  const core::PatternDistribution dist(core::make_g2dbc(23), t, false);
+  const core::PatternDistribution base(core::make_g2dbc(23), t, false);
+  const core::ReplicatedDistribution dist = core::one_layer(base);
   for (auto _ : state)
-    benchmark::DoNotOptimize(sim::build_lu_workload(t, dist, config));
+    benchmark::DoNotOptimize(sim::build_lu_workload_25d(t, dist, config));
   state.counters["tasks"] = static_cast<double>(
-      sim::build_lu_workload(t, dist, config).task_count());
+      sim::build_lu_workload_25d(t, dist, config).task_count());
 }
 BENCHMARK(BM_BuildLuWorkload)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 

@@ -24,4 +24,12 @@ std::string ReplicatedDistribution::name() const {
   return base_->name() + "+2.5d(c=" + std::to_string(layers_) + ")";
 }
 
+ReplicatedDistribution one_layer(const Distribution& base) {
+  // Aliasing constructor with an empty owner: a non-owning pointer.
+  return ReplicatedDistribution(
+      std::shared_ptr<const Distribution>(std::shared_ptr<const void>(),
+                                          &base),
+      1);
+}
+
 }  // namespace anyblock::core

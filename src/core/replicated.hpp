@@ -26,8 +26,9 @@
 //    the only inter-layer traffic: min(m, c-1) tile-sized messages per
 //    finalized tile.
 //  - c = 1 degenerates to the base distribution exactly: one layer, no
-//    partial sums, no reduction — every execution layer must be
-//    bit-identical to the plain 2D path (enforced by the golden tests).
+//    partial sums, no reduction.  This is how every execution layer runs
+//    the plain 2D schedule (see one_layer below); digests pinned from the
+//    former dedicated 2D code paths anchor it in the golden tests.
 #pragma once
 
 #include <cstdint>
@@ -106,5 +107,10 @@ class ReplicatedDistribution final : public Distribution {
   std::shared_ptr<const Distribution> base_;
   std::int64_t layers_;
 };
+
+/// The one-layer (c = 1) stacking of `base`: the plain 2D schedule in the
+/// form every LU/Cholesky code path takes.  Does not take ownership, so
+/// `base` must outlive the result.
+[[nodiscard]] ReplicatedDistribution one_layer(const Distribution& base);
 
 }  // namespace anyblock::core

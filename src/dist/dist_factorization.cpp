@@ -44,146 +44,6 @@ void gather_to_root(TileStore& store, RankContext& ctx, std::int64_t t,
   }
 }
 
-void lu_iteration_rank(RankContext& ctx, TileStore& store,
-                       const core::Distribution& distribution, std::int64_t t,
-                       std::int64_t l, std::int64_t nb, std::atomic<bool>& ok,
-                       const comm::CollectiveConfig& config) {
-  const int self = ctx.rank();
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-
-  {
-    // --- GETRF(l, l) on its owner; multicast along colrow l.  Every rank
-    // rebuilds the identical destination list, so forwarding collectives
-    // can derive their role from the list alone.
-    const auto diag_group = lu_diag_group(distribution, t, l);
-    if (owner(l, l) == self) {
-      if (!linalg::getrf_nopiv(store.get(l, l), nb)) ok.store(false);
-      comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
-                           diag_group);
-    } else {
-      receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
-    }
-
-    // --- TRSM on owned column-panel tiles; each result is multicast to
-    // every distinct owner of the trailing row it feeds.  TRSM owners are
-    // always diag-group members, so the diagonal tile is local by now.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      if (owner(i, l) != self) continue;
-      linalg::trsm_right_upper(store.get(l, l), store.get(i, l), nb);
-      comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
-                           lu_col_panel_group(distribution, t, l, i));
-    }
-
-    // --- TRSM on owned row-panel tiles; results go down the columns.
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      if (owner(l, j) != self) continue;
-      linalg::trsm_left_lower_unit(store.get(l, l), store.get(l, j), nb);
-      comm::multicast_send(ctx, config, store.key(l, j), store.get(l, j),
-                           lu_row_panel_group(distribution, t, l, j));
-    }
-
-    // --- Receive the published panels in publication order (column panels
-    // ascending i, then row panels ascending j).  The order is identical on
-    // every rank, so relay obligations of the tree and chain algorithms can
-    // never form a cycle; afterwards all GEMM inputs are local.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      if (owner(i, l) == self) continue;
-      receive_published(store, ctx, config, i, l, owner(i, l),
-                        lu_col_panel_group(distribution, t, l, i));
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      if (owner(l, j) == self) continue;
-      receive_published(store, ctx, config, l, j, owner(l, j),
-                        lu_row_panel_group(distribution, t, l, j));
-    }
-
-    // --- GEMM updates on owned trailing tiles.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      for (std::int64_t j = l + 1; j < t; ++j) {
-        if (owner(i, j) != self) continue;
-        linalg::gemm_update(store.get(i, l), store.get(l, j),
-                            store.get(i, j), nb);
-      }
-    }
-  }
-}
-
-void lu_factorize_rank(RankContext& ctx, TileStore& store,
-                       const core::Distribution& distribution, std::int64_t t,
-                       std::int64_t nb, std::atomic<bool>& ok,
-                       const comm::CollectiveConfig& config) {
-  for (std::int64_t l = 0; l < t; ++l)
-    lu_iteration_rank(ctx, store, distribution, t, l, nb, ok, config);
-}
-
-void cholesky_iteration_rank(RankContext& ctx, TileStore& store,
-                             const core::Distribution& distribution,
-                             std::int64_t t, std::int64_t l, std::int64_t nb,
-                             std::atomic<bool>& ok,
-                             const comm::CollectiveConfig& config) {
-  const int self = ctx.rank();
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-
-  {
-    // --- POTRF(l, l); the factor feeds the TRSMs below it.
-    const auto diag_group = chol_diag_group(distribution, t, l);
-    if (owner(l, l) == self) {
-      if (!linalg::potrf_lower(store.get(l, l), nb)) ok.store(false);
-      comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
-                           diag_group);
-    } else {
-      receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
-    }
-
-    // --- TRSM on owned panel tiles; each result travels along *colrow i*
-    // of the trailing matrix (Fig. 2, right): row segment (i, j) for
-    // l < j <= i, then column segment (k, i) for k >= i.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      if (owner(i, l) != self) continue;
-      linalg::trsm_right_lower_trans(store.get(l, l), store.get(i, l), nb);
-      comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
-                           chol_panel_group(distribution, t, l, i));
-    }
-
-    // --- Receive the published panels ascending i (publication order —
-    // the globally consistent order the forwarding algorithms require).
-    // An owned update tile (i, j) needs panels (i, l) and (j, l); its
-    // owner sits on colrow j via cell (i, j) with i >= j, hence is a
-    // member of both panel groups.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      if (owner(i, l) == self) continue;
-      receive_published(store, ctx, config, i, l, owner(i, l),
-                        chol_panel_group(distribution, t, l, i));
-    }
-
-    // --- SYRK/GEMM updates on owned trailing tiles (lower triangle).
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      for (std::int64_t j = l + 1; j <= i; ++j) {
-        if (owner(i, j) != self) continue;
-        if (i == j) {
-          linalg::syrk_update_lower(store.get(i, l), store.get(i, i), nb);
-        } else {
-          linalg::gemm_update_trans_b(store.get(i, l), store.get(j, l),
-                                      store.get(i, j), nb);
-        }
-      }
-    }
-  }
-}
-
-void cholesky_factorize_rank(RankContext& ctx, TileStore& store,
-                             const core::Distribution& distribution,
-                             std::int64_t t, std::int64_t nb,
-                             std::atomic<bool>& ok,
-                             const comm::CollectiveConfig& config) {
-  for (std::int64_t l = 0; l < t; ++l)
-    cholesky_iteration_rank(ctx, store, distribution, t, l, nb, ok, config);
-}
-
 }  // namespace detail
 
 namespace {
@@ -195,77 +55,6 @@ using linalg::TiledMatrix;
 using vmpi::Payload;
 using vmpi::RankContext;
 }  // namespace
-
-DistRunResult distributed_lu(const TiledMatrix& input,
-                             const core::Distribution& distribution,
-                             const comm::CollectiveConfig& config,
-                             obs::Recorder* recorder,
-                             fault::FaultInjector* injector) {
-  const std::int64_t t = input.tiles();
-  const std::int64_t nb = input.tile_size();
-  const int ranks = static_cast<int>(distribution.num_nodes());
-
-  DistRunResult result;
-  result.factored = TiledMatrix(t, nb);
-  std::mutex out_mutex;
-  std::atomic<bool> ok{true};
-  std::vector<std::int64_t> factor_messages(static_cast<std::size_t>(ranks));
-  std::vector<std::int64_t> factor_received(static_cast<std::size_t>(ranks));
-
-  result.report = vmpi::run_ranks(ranks, [&](RankContext& ctx) {
-    TileStore store(input, distribution, ctx.rank(), /*lower_only=*/false);
-    detail::lu_factorize_rank(ctx, store, distribution, t, nb, ok, config);
-    const auto traffic = ctx.traffic();
-    factor_messages[static_cast<std::size_t>(ctx.rank())] =
-        traffic.messages_sent;
-    factor_received[static_cast<std::size_t>(ctx.rank())] =
-        traffic.messages_received;
-    detail::gather_to_root(store, ctx, t, distribution, /*lower_only=*/false,
-                           result.factored, out_mutex);
-  }, recorder, injector);
-
-  result.ok = ok.load();
-  for (const auto count : factor_messages) result.tile_messages += count;
-  for (const auto count : factor_received)
-    result.tile_messages_received += count;
-  return result;
-}
-
-DistRunResult distributed_cholesky(const TiledMatrix& input,
-                                   const core::Distribution& distribution,
-                                   const comm::CollectiveConfig& config,
-                                   obs::Recorder* recorder,
-                                   fault::FaultInjector* injector) {
-  const std::int64_t t = input.tiles();
-  const std::int64_t nb = input.tile_size();
-  const int ranks = static_cast<int>(distribution.num_nodes());
-
-  DistRunResult result;
-  result.factored = TiledMatrix(t, nb);
-  std::mutex out_mutex;
-  std::atomic<bool> ok{true};
-  std::vector<std::int64_t> factor_messages(static_cast<std::size_t>(ranks));
-  std::vector<std::int64_t> factor_received(static_cast<std::size_t>(ranks));
-
-  result.report = vmpi::run_ranks(ranks, [&](RankContext& ctx) {
-    TileStore store(input, distribution, ctx.rank(), /*lower_only=*/true);
-    detail::cholesky_factorize_rank(ctx, store, distribution, t, nb, ok,
-                                    config);
-    const auto traffic = ctx.traffic();
-    factor_messages[static_cast<std::size_t>(ctx.rank())] =
-        traffic.messages_sent;
-    factor_received[static_cast<std::size_t>(ctx.rank())] =
-        traffic.messages_received;
-    detail::gather_to_root(store, ctx, t, distribution, /*lower_only=*/true,
-                           result.factored, out_mutex);
-  }, recorder, injector);
-
-  result.ok = ok.load();
-  for (const auto count : factor_messages) result.tile_messages += count;
-  for (const auto count : factor_received)
-    result.tile_messages_received += count;
-  return result;
-}
 
 DistRunResult distributed_syrk(const TiledMatrix& c_input,
                                const linalg::TiledPanel& a_input,
@@ -354,27 +143,8 @@ DistRunResult distributed_syrk(const TiledMatrix& c_input,
           traffic.messages_received;
     }
     // Gather tags sit above the A-tile band: t*k + tile id.
-    const std::int64_t gather_base = t * k;
-    if (ctx.rank() == 0) {
-      const std::lock_guard<std::mutex> lock(out_mutex);
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const int owner = static_cast<int>(dist_c.owner(i, j));
-          Payload data = owner == 0
-                             ? store.get(i, j)
-                             : ctx.recv(owner, gather_base + store.key(i, j));
-          auto tile = result.factored.tile(i, j);
-          std::copy(data.begin(), data.end(), tile.begin());
-        }
-      }
-    } else {
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j <= i; ++j) {
-          if (dist_c.owner(i, j) != ctx.rank()) continue;
-          ctx.send(0, gather_base + store.key(i, j), store.get(i, j));
-        }
-      }
-    }
+    detail::gather_to_root(store, ctx, t, dist_c, /*lower_only=*/true,
+                           result.factored, out_mutex, t * k);
   }, recorder, injector);
 
   result.ok = ok.load();
@@ -485,27 +255,8 @@ DistRunResult distributed_gemm(const TiledMatrix& c_input,
           traffic.messages_received;
     }
     // Gather above the input bands.
-    const std::int64_t gather_base = 2 * t * k;
-    if (ctx.rank() == 0) {
-      const std::lock_guard<std::mutex> lock(out_mutex);
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j < t; ++j) {
-          const int owner = static_cast<int>(dist.owner(i, j));
-          Payload data = owner == 0
-                             ? store.get(i, j)
-                             : ctx.recv(owner, gather_base + store.key(i, j));
-          auto tile = result.factored.tile(i, j);
-          std::copy(data.begin(), data.end(), tile.begin());
-        }
-      }
-    } else {
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j < t; ++j) {
-          if (dist.owner(i, j) != ctx.rank()) continue;
-          ctx.send(0, gather_base + store.key(i, j), store.get(i, j));
-        }
-      }
-    }
+    detail::gather_to_root(store, ctx, t, dist, /*lower_only=*/false,
+                           result.factored, out_mutex, 2 * t * k);
   }, recorder, injector);
 
   result.ok = true;

@@ -56,6 +56,9 @@ struct DistRunResult {
 /// With a non-null `injector` the transport perturbs deliveries per the
 /// seeded fault plan; the reliability protocol (see vmpi) guarantees the
 /// factored matrix is bit-identical to the fault-free run.
+///
+/// This is distributed_lu_25d on the one-layer stacking of `distribution`
+/// (core::one_layer).
 DistRunResult distributed_lu(const linalg::TiledMatrix& input,
                              const core::Distribution& distribution,
                              const comm::CollectiveConfig& config = {},
@@ -63,30 +66,31 @@ DistRunResult distributed_lu(const linalg::TiledMatrix& input,
                              fault::FaultInjector* injector = nullptr);
 
 /// Distributed right-looking lower Cholesky (tiles strictly above the
-/// diagonal are neither referenced nor communicated).
+/// diagonal are neither referenced nor communicated); the one-layer case of
+/// distributed_cholesky_25d.
 DistRunResult distributed_cholesky(const linalg::TiledMatrix& input,
                                    const core::Distribution& distribution,
                                    const comm::CollectiveConfig& config = {},
                                    obs::Recorder* recorder = nullptr,
                                    fault::FaultInjector* injector = nullptr);
 
-/// 2.5D replicated LU (dist_factorization_25d.cpp): P = P_b * c ranks,
+/// Replicated (2.5D) LU (dist_factorization_25d.cpp): P = P_b * c ranks,
 /// layer q = rank / P_b holding a full replica of the base layout.  Every
-/// iteration runs the 2D rank body inside its compute layer (l mod c);
-/// remote layers flush their partial sums to the home replica right before
-/// a tile is finalized.  Under eager p2p the factorization-proper message
-/// count equals core::exact_lu_volume_25d; under every collective it
-/// equals core::exact_lu_messages_25d.  With c = 1 the run — results and
-/// per-rank counts — is bit-identical to distributed_lu; with c > 1 it is
-/// deterministic (fixed reduce order) but sums updates in a different
-/// order than the 2D schedule.
+/// iteration runs the right-looking rank body inside its compute layer
+/// (l mod c); remote layers flush their partial sums to the home replica
+/// right before a tile is finalized.  Under eager p2p the
+/// factorization-proper message count equals core::exact_lu_volume_25d;
+/// under every collective it equals core::exact_lu_messages_25d.  One
+/// layer is the plain 2D factorization (distributed_lu forwards here);
+/// with c > 1 the run is deterministic (fixed reduce order) but sums
+/// updates in a different order than the 2D schedule.
 DistRunResult distributed_lu_25d(const linalg::TiledMatrix& input,
                                  const core::ReplicatedDistribution& dist,
                                  const comm::CollectiveConfig& config = {},
                                  obs::Recorder* recorder = nullptr,
                                  fault::FaultInjector* injector = nullptr);
 
-/// 2.5D replicated lower Cholesky; same contract as distributed_lu_25d
+/// Replicated (2.5D) lower Cholesky; same contract as distributed_lu_25d
 /// with core::exact_cholesky_volume_25d / exact_cholesky_messages_25d.
 DistRunResult distributed_cholesky_25d(
     const linalg::TiledMatrix& input,

@@ -1,25 +1,26 @@
-// 2.5D replicated execution of the distributed factorizations.
+// The distributed LU and lower Cholesky factorizations: one rank driver
+// for every memory factor c (core/replicated.hpp).
 //
-// Rank q * P_b + b is base rank b's replica on layer q
-// (core/replicated.hpp).  Every iteration l runs node-for-node like the 2D
-// rank body on layer l mod c — panel multicasts never leave the layer — and
-// trailing updates accumulate into layer-local partial sums.  The only
-// inter-layer traffic is the reduce phase at the head of each iteration:
-// each remote layer flushes its partial of every tile the iteration is
-// about to finalize to the home replica (a single-destination multicast, so
-// message counts stay comparable across collectives), and the home replica
-// adds them in ascending layer order — the deterministic summation order
-// the run-twice tests rely on.
+// Rank q * P_b + b is base rank b's replica on layer q.  Every iteration l
+// runs node-for-node like the right-looking 2D rank body on layer l mod c
+// — panel multicasts never leave the layer — and trailing updates
+// accumulate into layer-local partial sums.  The only inter-layer traffic
+// is the reduce phase at the head of each iteration: each remote layer
+// flushes its partial of every tile the iteration is about to finalize to
+// the home replica (a single-destination multicast, so message counts stay
+// comparable across collectives), and the home replica adds them in
+// ascending layer order — the deterministic summation order the run-twice
+// tests rely on.
 //
-// Tag bands: [0, t^2) panel tiles (disjoint rank sets per layer),
-// [t^2 * (1 + q), t^2 * (2 + q)) reduces flushed from layer q, and the
-// gather above all of them at t^2 * (1 + c).
+// With c = 1 the reduce phases are empty and layer 0's view is the base
+// distribution: that is the plain 2D factorization, which
+// distributed_lu/distributed_cholesky run through here.  With c > 1 the
+// result is deterministic but sums updates in a different order than the
+// 2D schedule.
 //
-// With c = 1 the reduce phases are empty, layer 0's view is the base
-// distribution, and the execution is bit-identical to
-// distributed_lu/distributed_cholesky (golden 2.5D dist tests).  With
-// c > 1 the result is deterministic but not bit-identical to the 2D run:
-// updates are summed in a different order.
+// Tag bands: [0, t^2) panel tiles (disjoint rank sets per layer), the
+// gather at [t^2, 2 t^2), and [t^2 * (2 + q), t^2 * (3 + q)) for reduces
+// flushed from layer q.  The one-layer run never uses a reduce band.
 #include <algorithm>
 #include <atomic>
 #include <mutex>
@@ -29,20 +30,28 @@
 #include "comm/multicast.hpp"
 #include "dist/dist_factorization.hpp"
 #include "dist/rank_helpers.hpp"
+#include "linalg/kernels.hpp"
 
 namespace anyblock::dist {
 namespace {
 
 using core::NodeId;
 using detail::TileStore;
+using detail::receive_published;
+using detail::lu_diag_group;
+using detail::lu_col_panel_group;
+using detail::lu_row_panel_group;
+using detail::chol_diag_group;
+using detail::chol_panel_group;
 using linalg::TiledMatrix;
 using vmpi::Payload;
 using vmpi::RankContext;
 
 /// The base distribution as seen from one layer: every tile is owned by its
 /// base owner's replica on that layer.  Passing the view of layer l mod c
-/// into the 2D iteration body reproduces the base schedule inside the
-/// layer, self-skips included.
+/// into an iteration body reproduces the base schedule inside the layer,
+/// self-skips included; ranks of every other layer own nothing under the
+/// view and fall straight through.
 class LayerView final : public core::Distribution {
  public:
   LayerView(const core::ReplicatedDistribution& dist, std::int64_t layer)
@@ -60,6 +69,135 @@ class LayerView final : public core::Distribution {
   std::int64_t layer_;
 };
 
+/// One elimination iteration of the LU rank body under `distribution` (the
+/// compute layer's view).  Every published tile travels through
+/// comm::Multicast under `config`; tiles are received in publication order
+/// (diagonal, column panels by row, row panels by column), the globally
+/// consistent order the forwarding algorithms require.
+void lu_iteration_rank(RankContext& ctx, TileStore& store,
+                       const core::Distribution& distribution, std::int64_t t,
+                       std::int64_t l, std::int64_t nb, std::atomic<bool>& ok,
+                       const comm::CollectiveConfig& config) {
+  const int self = ctx.rank();
+  const auto owner = [&](std::int64_t i, std::int64_t j) {
+    return distribution.owner(i, j);
+  };
+
+  // --- GETRF(l, l) on its owner; multicast along colrow l.  Every rank
+  // rebuilds the identical destination list, so forwarding collectives
+  // can derive their role from the list alone.
+  const auto diag_group = lu_diag_group(distribution, t, l);
+  if (owner(l, l) == self) {
+    if (!linalg::getrf_nopiv(store.get(l, l), nb)) ok.store(false);
+    comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
+                         diag_group);
+  } else {
+    receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
+  }
+
+  // --- TRSM on owned column-panel tiles; each result is multicast to
+  // every distinct owner of the trailing row it feeds.  TRSM owners are
+  // always diag-group members, so the diagonal tile is local by now.
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    if (owner(i, l) != self) continue;
+    linalg::trsm_right_upper(store.get(l, l), store.get(i, l), nb);
+    comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
+                         lu_col_panel_group(distribution, t, l, i));
+  }
+
+  // --- TRSM on owned row-panel tiles; results go down the columns.
+  for (std::int64_t j = l + 1; j < t; ++j) {
+    if (owner(l, j) != self) continue;
+    linalg::trsm_left_lower_unit(store.get(l, l), store.get(l, j), nb);
+    comm::multicast_send(ctx, config, store.key(l, j), store.get(l, j),
+                         lu_row_panel_group(distribution, t, l, j));
+  }
+
+  // --- Receive the published panels in publication order (column panels
+  // ascending i, then row panels ascending j).  The order is identical on
+  // every rank, so relay obligations of the tree and chain algorithms can
+  // never form a cycle; afterwards all GEMM inputs are local.
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    if (owner(i, l) == self) continue;
+    receive_published(store, ctx, config, i, l, owner(i, l),
+                      lu_col_panel_group(distribution, t, l, i));
+  }
+  for (std::int64_t j = l + 1; j < t; ++j) {
+    if (owner(l, j) == self) continue;
+    receive_published(store, ctx, config, l, j, owner(l, j),
+                      lu_row_panel_group(distribution, t, l, j));
+  }
+
+  // --- GEMM updates on owned trailing tiles.
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    for (std::int64_t j = l + 1; j < t; ++j) {
+      if (owner(i, j) != self) continue;
+      linalg::gemm_update(store.get(i, l), store.get(l, j),
+                          store.get(i, j), nb);
+    }
+  }
+}
+
+
+
+/// One elimination iteration of the lower Cholesky rank body.
+void cholesky_iteration_rank(RankContext& ctx, TileStore& store,
+                             const core::Distribution& distribution,
+                             std::int64_t t, std::int64_t l, std::int64_t nb,
+                             std::atomic<bool>& ok,
+                             const comm::CollectiveConfig& config) {
+  const int self = ctx.rank();
+  const auto owner = [&](std::int64_t i, std::int64_t j) {
+    return distribution.owner(i, j);
+  };
+
+  // --- POTRF(l, l); the factor feeds the TRSMs below it.
+  const auto diag_group = chol_diag_group(distribution, t, l);
+  if (owner(l, l) == self) {
+    if (!linalg::potrf_lower(store.get(l, l), nb)) ok.store(false);
+    comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
+                         diag_group);
+  } else {
+    receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
+  }
+
+  // --- TRSM on owned panel tiles; each result travels along *colrow i*
+  // of the trailing matrix (Fig. 2, right): row segment (i, j) for
+  // l < j <= i, then column segment (k, i) for k >= i.
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    if (owner(i, l) != self) continue;
+    linalg::trsm_right_lower_trans(store.get(l, l), store.get(i, l), nb);
+    comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
+                         chol_panel_group(distribution, t, l, i));
+  }
+
+  // --- Receive the published panels ascending i (publication order —
+  // the globally consistent order the forwarding algorithms require).
+  // An owned update tile (i, j) needs panels (i, l) and (j, l); its
+  // owner sits on colrow j via cell (i, j) with i >= j, hence is a
+  // member of both panel groups.
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    if (owner(i, l) == self) continue;
+    receive_published(store, ctx, config, i, l, owner(i, l),
+                      chol_panel_group(distribution, t, l, i));
+  }
+
+  // --- SYRK/GEMM updates on owned trailing tiles (lower triangle).
+  for (std::int64_t i = l + 1; i < t; ++i) {
+    for (std::int64_t j = l + 1; j <= i; ++j) {
+      if (owner(i, j) != self) continue;
+      if (i == j) {
+        linalg::syrk_update_lower(store.get(i, l), store.get(i, i), nb);
+      } else {
+        linalg::gemm_update_trans_b(store.get(i, l), store.get(j, l),
+                                    store.get(i, j), nb);
+      }
+    }
+  }
+}
+
+
+
 /// Flush/receive the remote-layer partial sums of one tile iteration l is
 /// about to finalize.  Remote layers send; the home replica accumulates in
 /// ascending source-layer order.
@@ -74,7 +212,7 @@ void reduce_tile(RankContext& ctx, TileStore& store,
   for (std::int64_t s = 0; s < dist.remote_layer_count(l); ++s) {
     const std::int64_t source_layer = dist.remote_layer(l, s);
     const int source = static_cast<int>(dist.replica(base_owner, source_layer));
-    const std::int64_t tag = t * t * (1 + source_layer) + store.key(i, j);
+    const std::int64_t tag = t * t * (2 + source_layer) + store.key(i, j);
     const std::vector<int> dests{home};
     if (self == source) {
       comm::multicast_send(ctx, config, tag, store.get(i, j), dests);
@@ -88,14 +226,55 @@ void reduce_tile(RankContext& ctx, TileStore& store,
   }
 }
 
-/// Builds this rank's tile store: one buffer per tile of its base rank,
-/// holding the input values on the tile's home layer and a zero accumulator
-/// on every other layer (remote layers only ever contribute updates).
-TileStore make_layer_store(const TiledMatrix& input,
-                           const core::ReplicatedDistribution& dist,
-                           const LayerView& view, int rank,
-                           std::int64_t my_layer, bool lower_only) {
+DistRunResult run_factorization(const TiledMatrix& input,
+                                const core::ReplicatedDistribution& distribution,
+                                const comm::CollectiveConfig& config,
+                                obs::Recorder* recorder,
+                                fault::FaultInjector* injector,
+                                bool symmetric) {
   const std::int64_t t = input.tiles();
+  const std::int64_t nb = input.tile_size();
+  const int ranks = static_cast<int>(distribution.num_nodes());
+
+  DistRunResult result;
+  result.factored = TiledMatrix(t, nb);
+  std::mutex out_mutex;
+  std::atomic<bool> ok{true};
+  std::vector<std::int64_t> factor_messages(static_cast<std::size_t>(ranks));
+  std::vector<std::int64_t> factor_received(static_cast<std::size_t>(ranks));
+
+  result.report = vmpi::run_ranks(ranks, [&](RankContext& ctx) {
+    const int self = ctx.rank();
+    TileStore store = detail::make_rank_store(input, distribution, self,
+                                              /*lower_only=*/symmetric);
+    detail::factorize_rank(ctx, store, distribution, t, nb, symmetric, ok,
+                           config);
+    const auto traffic = ctx.traffic();
+    factor_messages[static_cast<std::size_t>(self)] = traffic.messages_sent;
+    factor_received[static_cast<std::size_t>(self)] =
+        traffic.messages_received;
+    detail::gather_to_root(store, ctx, t, distribution,
+                           /*lower_only=*/symmetric, result.factored,
+                           out_mutex, t * t);
+  }, recorder, injector);
+
+  result.ok = ok.load();
+  for (const auto count : factor_messages) result.tile_messages += count;
+  for (const auto count : factor_received)
+    result.tile_messages_received += count;
+  return result;
+}
+
+}  // namespace
+
+namespace detail {
+
+TileStore make_rank_store(const TiledMatrix& input,
+                          const core::ReplicatedDistribution& dist, int rank,
+                          bool lower_only) {
+  const std::int64_t t = input.tiles();
+  const std::int64_t my_layer = rank / dist.base_nodes();
+  const LayerView view(dist, my_layer);
   TileStore store(input, view, rank, lower_only);
   for (std::int64_t i = 0; i < t; ++i) {
     const std::int64_t j_end = lower_only ? i + 1 : t;
@@ -110,85 +289,63 @@ TileStore make_layer_store(const TiledMatrix& input,
   return store;
 }
 
-DistRunResult run_25d(const TiledMatrix& input,
-                      const core::ReplicatedDistribution& distribution,
-                      const comm::CollectiveConfig& config,
-                      obs::Recorder* recorder, fault::FaultInjector* injector,
-                      bool symmetric) {
-  const std::int64_t t = input.tiles();
-  const std::int64_t nb = input.tile_size();
-  const std::int64_t base_nodes = distribution.base_nodes();
-  const int ranks = static_cast<int>(distribution.num_nodes());
+void factorize_rank(RankContext& ctx, TileStore& store,
+                    const core::ReplicatedDistribution& dist, std::int64_t t,
+                    std::int64_t nb, bool symmetric, std::atomic<bool>& ok,
+                    const comm::CollectiveConfig& config) {
+  for (std::int64_t l = 0; l < t; ++l) {
+    // Reduce phase: finalized tiles in task order — the diagonal, the
+    // column panel, and (LU only) the row panel.
+    reduce_tile(ctx, store, dist, t, l, l, l, config);
+    for (std::int64_t i = l + 1; i < t; ++i)
+      reduce_tile(ctx, store, dist, t, l, i, l, config);
+    if (!symmetric)
+      for (std::int64_t j = l + 1; j < t; ++j)
+        reduce_tile(ctx, store, dist, t, l, l, j, config);
 
-  DistRunResult result;
-  result.factored = TiledMatrix(t, nb);
-  std::mutex out_mutex;
-  std::atomic<bool> ok{true};
-  std::vector<std::int64_t> factor_messages(static_cast<std::size_t>(ranks));
-  std::vector<std::int64_t> factor_received(static_cast<std::size_t>(ranks));
-
-  result.report = vmpi::run_ranks(ranks, [&](RankContext& ctx) {
-    const int self = ctx.rank();
-    const std::int64_t my_layer = self / base_nodes;
-    const LayerView my_view(distribution, my_layer);
-    TileStore store = make_layer_store(input, distribution, my_view, self,
-                                       my_layer, /*lower_only=*/symmetric);
-
-    for (std::int64_t l = 0; l < t; ++l) {
-      // Reduce phase: finalized tiles in task order — the diagonal, the
-      // column panel, and (LU only) the row panel.
-      reduce_tile(ctx, store, distribution, t, l, l, l, config);
-      for (std::int64_t i = l + 1; i < t; ++i)
-        reduce_tile(ctx, store, distribution, t, l, i, l, config);
-      if (!symmetric)
-        for (std::int64_t j = l + 1; j < t; ++j)
-          reduce_tile(ctx, store, distribution, t, l, l, j, config);
-
-      // The unchanged 2D iteration body on the compute layer; every other
-      // layer owns nothing under this view and falls straight through.
-      const LayerView iteration_view(distribution, distribution.home_layer(l));
-      if (symmetric) {
-        detail::cholesky_iteration_rank(ctx, store, iteration_view, t, l, nb,
-                                        ok, config);
-      } else {
-        detail::lu_iteration_rank(ctx, store, iteration_view, t, l, nb, ok,
-                                  config);
-      }
-    }
-
-    const auto traffic = ctx.traffic();
-    factor_messages[static_cast<std::size_t>(self)] = traffic.messages_sent;
-    factor_received[static_cast<std::size_t>(self)] =
-        traffic.messages_received;
-    detail::gather_to_root(store, ctx, t, distribution,
-                           /*lower_only=*/symmetric, result.factored,
-                           out_mutex,
-                           t * t * (1 + distribution.layers()));
-  }, recorder, injector);
-
-  result.ok = ok.load();
-  for (const auto count : factor_messages) result.tile_messages += count;
-  for (const auto count : factor_received)
-    result.tile_messages_received += count;
-  return result;
+    const LayerView view(dist, dist.home_layer(l));
+    if (symmetric)
+      cholesky_iteration_rank(ctx, store, view, t, l, nb, ok, config);
+    else
+      lu_iteration_rank(ctx, store, view, t, l, nb, ok, config);
+  }
 }
 
-}  // namespace
+}  // namespace detail
+
+DistRunResult distributed_lu(const TiledMatrix& input,
+                             const core::Distribution& distribution,
+                             const comm::CollectiveConfig& config,
+                             obs::Recorder* recorder,
+                             fault::FaultInjector* injector) {
+  return distributed_lu_25d(input, core::one_layer(distribution), config,
+                            recorder, injector);
+}
+
+DistRunResult distributed_cholesky(const TiledMatrix& input,
+                                   const core::Distribution& distribution,
+                                   const comm::CollectiveConfig& config,
+                                   obs::Recorder* recorder,
+                                   fault::FaultInjector* injector) {
+  return distributed_cholesky_25d(input, core::one_layer(distribution),
+                                  config, recorder, injector);
+}
 
 DistRunResult distributed_lu_25d(const TiledMatrix& input,
                                  const core::ReplicatedDistribution& dist,
                                  const comm::CollectiveConfig& config,
                                  obs::Recorder* recorder,
                                  fault::FaultInjector* injector) {
-  return run_25d(input, dist, config, recorder, injector,
-                 /*symmetric=*/false);
+  return run_factorization(input, dist, config, recorder, injector,
+                           /*symmetric=*/false);
 }
 
 DistRunResult distributed_cholesky_25d(
     const TiledMatrix& input, const core::ReplicatedDistribution& dist,
     const comm::CollectiveConfig& config, obs::Recorder* recorder,
     fault::FaultInjector* injector) {
-  return run_25d(input, dist, config, recorder, injector, /*symmetric=*/true);
+  return run_factorization(input, dist, config, recorder, injector,
+                           /*symmetric=*/true);
 }
 
 }  // namespace anyblock::dist

@@ -238,6 +238,7 @@ DistSolveResult run_solve(const linalg::TiledMatrix& input,
     throw std::invalid_argument("rhs length must equal the matrix dimension");
   const int ranks = static_cast<int>(distribution.num_nodes());
   const SolveTags tags{t};
+  const core::ReplicatedDistribution flat = core::one_layer(distribution);
 
   DistSolveResult result;
   result.x.assign(b.size(), 0.0);
@@ -248,13 +249,9 @@ DistSolveResult run_solve(const linalg::TiledMatrix& input,
 
   result.report = vmpi::run_ranks(ranks, [&](RankContext& ctx) {
     const int self = ctx.rank();
-    TileStore store(input, distribution, self, /*lower_only=*/cholesky);
-    if (cholesky) {
-      detail::cholesky_factorize_rank(ctx, store, distribution, t, nb, ok,
-                                      config);
-    } else {
-      detail::lu_factorize_rank(ctx, store, distribution, t, nb, ok, config);
-    }
+    TileStore store =
+        detail::make_rank_store(input, flat, self, /*lower_only=*/cholesky);
+    detail::factorize_rank(ctx, store, flat, t, nb, cholesky, ok, config);
     factor_counts[static_cast<std::size_t>(self)] =
         ctx.traffic().messages_sent;
 

@@ -1,5 +1,5 @@
 // Internal per-rank building blocks shared by the distributed
-// factorizations (dist_factorization.cpp) and solves (dist_solve.cpp).
+// factorizations (dist_factorization*.cpp) and solves (dist_solve.cpp).
 // Not part of the public API.
 #pragma once
 
@@ -12,6 +12,7 @@
 
 #include "comm/multicast.hpp"
 #include "core/distribution.hpp"
+#include "core/replicated.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/tiled_matrix.hpp"
 #include "vmpi/vmpi.hpp"
@@ -145,55 +146,30 @@ inline void receive_published(TileStore& store, RankContext& ctx,
                                        static_cast<int>(root), dests));
 }
 
-/// Gathers all owned tiles to rank 0 and assembles the factored matrix.
-/// Gather tags sit at [gather_base, gather_base + t*t); the default band
-/// [t*t, 2*t*t) sits right above the 2D factorization tags.  The 2.5D path
-/// passes t*t*(1+c) to clear its per-layer reduce bands.
+/// Gathers all owned tiles to rank 0 and assembles the result matrix.
+/// Gather tags sit at [gather_base, gather_base + t*t), above the caller's
+/// own tag bands.
 void gather_to_root(TileStore& store, RankContext& ctx, std::int64_t t,
                     const core::Distribution& distribution, bool lower_only,
                     TiledMatrix& out, std::mutex& out_mutex,
                     std::int64_t gather_base);
 
-inline void gather_to_root(TileStore& store, RankContext& ctx, std::int64_t t,
-                           const core::Distribution& distribution,
-                           bool lower_only, TiledMatrix& out,
-                           std::mutex& out_mutex) {
-  gather_to_root(store, ctx, t, distribution, lower_only, out, out_mutex,
-                 t * t);
-}
+/// This rank's tile store under `dist`: one buffer per tile of its base
+/// rank, holding the input values on the tile's home layer and a zero
+/// accumulator on every other layer (remote layers only ever contribute
+/// updates).  At one layer it is the rank's input tiles.
+TileStore make_rank_store(const TiledMatrix& input,
+                          const core::ReplicatedDistribution& dist, int rank,
+                          bool lower_only);
 
-/// One rank's share of the right-looking LU factorization (tile tags in
-/// [0, t*t)).  On return the rank's owned tiles hold their final values.
-/// Every published tile travels through comm::Multicast under `config`;
-/// tiles are received in publication order (diagonal, column panels by
-/// row, row panels by column), the globally consistent order the
-/// forwarding algorithms require.
-void lu_factorize_rank(RankContext& ctx, TileStore& store,
-                       const core::Distribution& distribution, std::int64_t t,
-                       std::int64_t nb, std::atomic<bool>& ok,
-                       const comm::CollectiveConfig& config);
-
-/// One elimination iteration of the LU rank body (the l-th trip of
-/// lu_factorize_rank's loop).  The 2.5D driver interleaves these with its
-/// inter-layer reduce phases, passing a per-iteration layer view as
-/// `distribution`; ranks outside every group simply fall through.
-void lu_iteration_rank(RankContext& ctx, TileStore& store,
-                       const core::Distribution& distribution, std::int64_t t,
-                       std::int64_t l, std::int64_t nb, std::atomic<bool>& ok,
-                       const comm::CollectiveConfig& config);
-
-/// Same for the lower Cholesky factorization.
-void cholesky_factorize_rank(RankContext& ctx, TileStore& store,
-                             const core::Distribution& distribution,
-                             std::int64_t t, std::int64_t nb,
-                             std::atomic<bool>& ok,
-                             const comm::CollectiveConfig& config);
-
-/// One elimination iteration of the Cholesky rank body.
-void cholesky_iteration_rank(RankContext& ctx, TileStore& store,
-                             const core::Distribution& distribution,
-                             std::int64_t t, std::int64_t l, std::int64_t nb,
-                             std::atomic<bool>& ok,
-                             const comm::CollectiveConfig& config);
+/// One rank's share of the right-looking LU (or, when `symmetric`, lower
+/// Cholesky) factorization under `dist`, reduce phases included; c = 1 is
+/// the plain 2D schedule.  Panel tags sit in [0, t*t), reduce tags from
+/// layer q in [t*t*(2+q), t*t*(3+q)).  On return the rank's home-layer
+/// tiles hold their final values.
+void factorize_rank(RankContext& ctx, TileStore& store,
+                    const core::ReplicatedDistribution& dist, std::int64_t t,
+                    std::int64_t nb, bool symmetric, std::atomic<bool>& ok,
+                    const comm::CollectiveConfig& config);
 
 }  // namespace anyblock::dist::detail

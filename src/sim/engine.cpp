@@ -655,22 +655,13 @@ SimReport simulate(Workload workload, const MachineConfig& machine) {
 
 SimReport simulate_lu(std::int64_t t, const core::Distribution& distribution,
                       const MachineConfig& machine) {
-  return simulate_kernel(
-      machine,
-      [&] { return ImplicitWorkload(SimKernel::kLu, t, distribution, machine); },
-      [&] { return build_lu_workload(t, distribution, machine); });
+  return simulate_lu_25d(t, core::one_layer(distribution), machine);
 }
 
 SimReport simulate_cholesky(std::int64_t t,
                             const core::Distribution& distribution,
                             const MachineConfig& machine) {
-  return simulate_kernel(
-      machine,
-      [&] {
-        return ImplicitWorkload(SimKernel::kCholesky, t, distribution,
-                                machine);
-      },
-      [&] { return build_cholesky_workload(t, distribution, machine); });
+  return simulate_cholesky_25d(t, core::one_layer(distribution), machine);
 }
 
 SimReport simulate_lu_25d(std::int64_t t,

@@ -64,7 +64,8 @@ struct SimReport {
 /// in [0, machine.nodes).
 SimReport simulate(Workload workload, const MachineConfig& machine);
 
-/// Convenience wrappers: build + simulate.
+/// LU and Cholesky on a 2D distribution: the one-layer case of
+/// simulate_lu_25d / simulate_cholesky_25d (core::one_layer).
 SimReport simulate_lu(std::int64_t t, const core::Distribution& distribution,
                       const MachineConfig& machine);
 SimReport simulate_cholesky(std::int64_t t,
@@ -75,10 +76,9 @@ SimReport simulate_syrk(std::int64_t t, std::int64_t k,
                         const core::Distribution& dist_a,
                         const MachineConfig& machine);
 
-/// 2.5D variants (sim/workload_25d.hpp): machine.nodes must equal
-/// distribution.num_nodes() = base nodes * memory factor.  With one layer
-/// these simulate bit-identical trajectories to simulate_lu/cholesky on the
-/// base distribution (the golden 2.5D equivalence tests).
+/// LU and Cholesky under the replicated schedule (sim/workload_25d.hpp):
+/// machine.nodes must equal distribution.num_nodes() = base nodes * memory
+/// factor.  One layer is the plain 2D schedule.
 SimReport simulate_lu_25d(std::int64_t t,
                           const core::ReplicatedDistribution& distribution,
                           const MachineConfig& machine);

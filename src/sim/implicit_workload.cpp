@@ -1,74 +1,12 @@
 #include "sim/implicit_workload.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace anyblock::sim {
-namespace {
-
-/// Largest d with d * (d + 1) / 2 <= s (row index inside a triangular
-/// update block).  The sqrt seed is exact for any s below 2^50; the
-/// adjustment loops absorb rounding at the boundaries.
-std::int64_t triangular_row(std::int64_t s) {
-  auto d = static_cast<std::int64_t>(
-      (std::sqrt(8.0 * static_cast<double>(s) + 1.0) - 1.0) / 2.0);
-  while (d > 0 && d * (d + 1) / 2 > s) --d;
-  while ((d + 1) * (d + 2) / 2 <= s) ++d;
-  return d;
-}
-
-}  // namespace
-
-ImplicitWorkload::ImplicitWorkload(SimKernel kernel, std::int64_t t,
-                                   const core::Distribution& distribution,
-                                   const MachineConfig& machine)
-    : kernel_(kernel), t_(t), dist_(&distribution), machine_(&machine) {
-  if (t <= 0) throw std::invalid_argument("tile grid must be positive");
-  if (kernel == SimKernel::kSyrk)
-    throw std::invalid_argument("SYRK requires the two-distribution ctor");
-  task_base_.resize(static_cast<std::size_t>(t) + 1);
-  inst_base_.resize(static_cast<std::size_t>(t) + 1);
-  std::int64_t tasks = 0;
-  std::int64_t insts = 0;
-  for (std::int64_t l = 0; l < t; ++l) {
-    task_base_[static_cast<std::size_t>(l)] = tasks;
-    inst_base_[static_cast<std::size_t>(l)] = insts;
-    const std::int64_t k = t - 1 - l;
-    if (kernel == SimKernel::kLu) {
-      tasks += 1 + 2 * k + k * k;
-      insts += 1 + 2 * k;
-      total_flops_ += machine.task_flops(TaskType::kGetrf) +
-                      2.0 * static_cast<double>(k) *
-                          machine.task_flops(TaskType::kTrsm) +
-                      static_cast<double>(k) * static_cast<double>(k) *
-                          machine.task_flops(TaskType::kGemm);
-    } else {
-      tasks += 1 + 2 * k + k * (k - 1) / 2;
-      insts += 1 + k;
-      total_flops_ += machine.task_flops(TaskType::kPotrf) +
-                      static_cast<double>(k) *
-                          (machine.task_flops(TaskType::kTrsm) +
-                           machine.task_flops(TaskType::kSyrk)) +
-                      static_cast<double>(k * (k - 1) / 2) *
-                          machine.task_flops(TaskType::kGemm);
-    }
-  }
-  task_base_[static_cast<std::size_t>(t)] = tasks;
-  inst_base_[static_cast<std::size_t>(t)] = insts;
-  task_count_ = tasks;
-  instance_count_ = insts;
-}
 
 ImplicitWorkload::ImplicitWorkload(std::int64_t t, std::int64_t k,
                                    const core::Distribution& dist_c,
                                    const core::Distribution& dist_a,
                                    const MachineConfig& machine)
-    : kernel_(SimKernel::kSyrk),
-      t_(t),
-      k_(k),
-      dist_(&dist_c),
-      dist_a_(&dist_a),
-      machine_(&machine) {
+    : t_(t), k_(k), dist_c_(&dist_c), dist_a_(&dist_a), machine_(&machine) {
   if (t <= 0 || k <= 0)
     throw std::invalid_argument("tile grids must be positive");
   task_count_ = t * k + k * (t * (t + 1) / 2);
@@ -80,72 +18,24 @@ ImplicitWorkload::ImplicitWorkload(std::int64_t t, std::int64_t k,
            machine.task_flops(TaskType::kGemm));
 }
 
-std::int64_t ImplicitWorkload::iteration_of(std::int64_t id) const {
-  const auto it =
-      std::upper_bound(task_base_.begin(), task_base_.end(), id);
-  return (it - task_base_.begin()) - 1;
-}
-
 ImplicitWorkload::Decoded ImplicitWorkload::decode(std::int64_t id) const {
-  switch (kernel_) {
-    case SimKernel::kLu: {
-      const std::int64_t l = iteration_of(id);
-      const std::int64_t r = id - task_base_[static_cast<std::size_t>(l)];
-      const std::int64_t k = t_ - 1 - l;
-      if (r == 0) return {TaskType::kGetrf, l, l, l};
-      if (r <= k) return {TaskType::kTrsm, l, l + r, l};
-      if (r <= 2 * k) return {TaskType::kTrsm, l, l, l + (r - k)};
-      const std::int64_t g = r - 1 - 2 * k;
-      return {TaskType::kGemm, l, l + 1 + g / k, l + 1 + g % k};
-    }
-    case SimKernel::kCholesky: {
-      const std::int64_t l = iteration_of(id);
-      const std::int64_t r = id - task_base_[static_cast<std::size_t>(l)];
-      const std::int64_t k = t_ - 1 - l;
-      if (r == 0) return {TaskType::kPotrf, l, l, l};
-      if (r <= k) return {TaskType::kTrsm, l, l + r, l};
-      const std::int64_t s = r - 1 - k;
-      const std::int64_t d = triangular_row(s);
-      const std::int64_t e = s - d * (d + 1) / 2;
-      const std::int64_t i = l + 1 + d;
-      if (e == 0) return {TaskType::kSyrk, l, i, i};
-      return {TaskType::kGemm, l, i, l + e};
-    }
-    case SimKernel::kSyrk: {
-      if (id < t_ * k_) return {TaskType::kLoad, -1, -1, -1};
-      const std::int64_t block = t_ * (t_ + 1) / 2;
-      const std::int64_t r = id - t_ * k_;
-      const std::int64_t l = r / block;
-      const std::int64_t w = r - l * block;
-      const std::int64_t i = triangular_row(w);
-      const std::int64_t e = w - i * (i + 1) / 2;
-      if (e == 0) return {TaskType::kSyrk, l, i, i};
-      return {TaskType::kGemm, l, i, e - 1};
-    }
-  }
-  throw std::logic_error("unreachable kernel");
+  if (id < t_ * k_) return {TaskType::kLoad, -1, -1, -1};
+  const std::int64_t block = t_ * (t_ + 1) / 2;
+  const std::int64_t r = id - t_ * k_;
+  const std::int64_t l = r / block;
+  const std::int64_t w = r - l * block;
+  const std::int64_t i = triangular_row(w);
+  const std::int64_t e = w - i * (i + 1) / 2;
+  if (e == 0) return {TaskType::kSyrk, l, i, i};
+  return {TaskType::kGemm, l, i, e - 1};
 }
 
 std::int32_t ImplicitWorkload::initial_deps(std::int64_t id) const {
+  // Loads are ready at once; an update waits for its A inputs (one for
+  // SYRK, two for GEMM) plus the previous writer of its tile.
   const Decoded task = decode(id);
-  std::int32_t deps = 0;
-  switch (task.type) {
-    case TaskType::kGetrf:
-    case TaskType::kPotrf:
-    case TaskType::kLoad:
-      break;
-    case TaskType::kTrsm:
-    case TaskType::kSyrk:
-      deps = 1;
-      break;
-    case TaskType::kGemm:
-      deps = 2;
-      break;
-  }
-  // Chain edge from the previous writer of the same tile (every task of
-  // iteration l > 0 has one; loads write nothing).
-  if (task.type != TaskType::kLoad && task.l > 0) ++deps;
-  return deps;
+  if (task.type == TaskType::kLoad) return 0;
+  return (task.type == TaskType::kSyrk ? 1 : 2) + (task.l > 0 ? 1 : 0);
 }
 
 TaskView ImplicitWorkload::task(std::int64_t id) const {
@@ -155,183 +45,40 @@ TaskView ImplicitWorkload::task(std::int64_t id) const {
   view.l = static_cast<std::int32_t>(raw.l);
   view.i = static_cast<std::int32_t>(raw.i);
   view.j = static_cast<std::int32_t>(raw.j);
-
   if (raw.type == TaskType::kLoad) {
     // Loads keep l = i = j = -1 (materialized parity); their node and
     // published instance come from the ordinal: loads are created i-major,
     // column-minor, so load/instance ordinal = i * k + l.
-    const std::int64_t i = id / k_;
-    const std::int64_t lc = id % k_;
-    const auto node = static_cast<std::int32_t>(dist_a_->owner(i, lc % t_));
-    if (node < 0 || node >= machine_->nodes)
-      throw std::invalid_argument("task node outside the machine");
-    view.node = node;
+    view.node = checked(dist_a_->owner(id / k_, (id % k_) % t_));
     view.publishes = id;
     return view;
   }
-
-  view.node = owner(raw.i, raw.j);
-
-  const std::int64_t l = raw.l;
-  switch (kernel_) {
-    case SimKernel::kLu: {
-      const std::int64_t base = inst_base_[static_cast<std::size_t>(l)];
-      const std::int64_t k = t_ - 1 - l;
-      if (raw.type == TaskType::kGetrf) {
-        view.publishes = base;
-      } else if (raw.type == TaskType::kTrsm) {
-        view.publishes = raw.j == l ? base + (raw.i - l)
-                                    : base + k + (raw.j - l);
-      } else {  // GEMM(l, i, j): next writer of tile (i, j) at iteration l+1
-        const std::int64_t l2 = l + 1;
-        const std::int64_t k2 = t_ - 1 - l2;
-        const std::int64_t base2 = task_base_[static_cast<std::size_t>(l2)];
-        if (raw.i == l2 && raw.j == l2)
-          view.successor = base2;  // GETRF(l+1)
-        else if (raw.j == l2)
-          view.successor = base2 + (raw.i - l2);  // TRSM(l+1, i, l+1)
-        else if (raw.i == l2)
-          view.successor = base2 + k2 + (raw.j - l2);  // TRSM(l+1, l+1, j)
-        else
-          view.successor = lu_gemm(l2, raw.i, raw.j);
-      }
-      break;
-    }
-    case SimKernel::kCholesky: {
-      const std::int64_t base = inst_base_[static_cast<std::size_t>(l)];
-      if (raw.type == TaskType::kPotrf) {
-        view.publishes = base;
-      } else if (raw.type == TaskType::kTrsm) {
-        view.publishes = base + (raw.i - l);
-      } else if (raw.type == TaskType::kSyrk) {
-        // SYRK(l, i, i) -> POTRF(l+1) when i reaches the diagonal, else
-        // SYRK(l+1, i, i).
-        const std::int64_t l2 = l + 1;
-        view.successor = raw.i == l2
-                             ? task_base_[static_cast<std::size_t>(l2)]
-                             : chol_row(l2, raw.i);
-      } else {  // GEMM(l, i, j) -> TRSM(l+1, i, l+1) or GEMM(l+1, i, j)
-        const std::int64_t l2 = l + 1;
-        view.successor =
-            raw.j == l2
-                ? task_base_[static_cast<std::size_t>(l2)] + (raw.i - l2)
-                : chol_row(l2, raw.i) + (raw.j - l2);
-      }
-      break;
-    }
-    case SimKernel::kSyrk: {
-      // Update tasks publish nothing; each chains to the same (i, j) update
-      // of the next A column.
-      if (l + 1 < k_) {
-        view.successor = raw.type == TaskType::kSyrk
-                             ? syrk_row(l + 1, raw.i)
-                             : syrk_row(l + 1, raw.i) + 1 + raw.j;
-      }
-      break;
-    }
-  }
+  view.node = checked(dist_c_->owner(raw.i, raw.j));
+  // Update tasks publish nothing; each chains to the same (i, j) update of
+  // the next A column.
+  if (raw.l + 1 < k_)
+    view.successor = raw.type == TaskType::kSyrk
+                         ? syrk_row(raw.l + 1, raw.i)
+                         : syrk_row(raw.l + 1, raw.i) + 1 + raw.j;
   return view;
-}
-
-ImplicitInstance& ImplicitWorkload::begin_instance(std::int64_t instance_id,
-                                                   std::int32_t producer) {
-  const std::int64_t slot = pool_.acquire();
-  live_.at_or_insert(instance_id, slot) = slot;
-  ++live_count_;
-  if (live_count_ > live_peak_) live_peak_ = live_count_;
-  ImplicitInstance& state = pool_[slot];
-  state.producer_node = producer;
-  state.used_groups = 0;
-  return state;
-}
-
-void ImplicitWorkload::add_consumer(ImplicitInstance& state, std::int32_t node,
-                                    std::int64_t waiter) {
-  // Linear scan, like the materialized builder: group order is first
-  // occurrence by node, and group counts are small (bounded by the
-  // distribution's per-tile consumer spread, not by P).
-  for (std::int32_t g = 0; g < state.used_groups; ++g) {
-    ImplicitGroup& group = state.groups[static_cast<std::size_t>(g)];
-    if (group.node == node) {
-      group.waiters.push_back(waiter);
-      return;
-    }
-  }
-  if (state.used_groups == static_cast<std::int32_t>(state.groups.size()))
-    state.groups.emplace_back();
-  ImplicitGroup& group =
-      state.groups[static_cast<std::size_t>(state.used_groups++)];
-  group.node = node;
-  group.waiters.clear();
-  group.waiters.push_back(waiter);
 }
 
 ImplicitWorkload::InstanceHandle ImplicitWorkload::publish(
     std::int64_t instance, const TaskView& task) {
   ImplicitInstance& state = begin_instance(instance, task.node);
-  const std::int64_t l = task.l;
-  const std::int64_t i = task.i;
-  const std::int64_t j = task.j;
-
-  switch (kernel_) {
-    case SimKernel::kLu: {
-      const std::int64_t base = task_base_[static_cast<std::size_t>(l)];
-      const std::int64_t k = t_ - 1 - l;
-      if (task.type == TaskType::kGetrf) {
-        // Tile (l, l): both TRSM panels, rows first (builder order).
-        for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-          add_consumer(state, owner(i2, l), base + (i2 - l));
-        for (std::int64_t j2 = l + 1; j2 < t_; ++j2)
-          add_consumer(state, owner(l, j2), base + k + (j2 - l));
-      } else if (task.j == l) {
-        // TRSM(l, i, l), tile (i, l): the GEMM row i.
-        for (std::int64_t j2 = l + 1; j2 < t_; ++j2)
-          add_consumer(state, owner(i, j2), lu_gemm(l, i, j2));
-      } else {
-        // TRSM(l, l, j), tile (l, j): the GEMM column j.
-        for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-          add_consumer(state, owner(i2, j), lu_gemm(l, i2, j));
-      }
-      break;
-    }
-    case SimKernel::kCholesky: {
-      if (task.type == TaskType::kPotrf) {
-        const std::int64_t base = task_base_[static_cast<std::size_t>(l)];
-        for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-          add_consumer(state, owner(i2, l), base + (i2 - l));
-      } else {
-        // TRSM(l, i, l), tile (i, l): SYRK(i, i), then GEMMs of row i,
-        // then GEMMs of column i in lower rows — the builder's traversal.
-        add_consumer(state, owner(i, i), chol_row(l, i));
-        for (std::int64_t j2 = l + 1; j2 < i; ++j2)
-          add_consumer(state, owner(i, j2), chol_row(l, i) + (j2 - l));
-        for (std::int64_t i2 = i + 1; i2 < t_; ++i2)
-          add_consumer(state, owner(i2, i), chol_row(l, i2) + (i - l));
-      }
-      break;
-    }
-    case SimKernel::kSyrk: {
-      // A load: instance ordinal encodes (row ir, column lc).
-      const std::int64_t ir = instance / k_;
-      const std::int64_t lc = instance % k_;
-      add_consumer(state, owner(ir, ir), syrk_row(lc, ir));
-      for (std::int64_t j2 = 0; j2 < ir; ++j2)
-        add_consumer(state, owner(ir, j2), syrk_row(lc, ir) + 1 + j2);
-      for (std::int64_t i2 = ir + 1; i2 < t_; ++i2)
-        add_consumer(state, owner(i2, ir), syrk_row(lc, i2) + 1 + ir);
-      break;
-    }
-  }
+  // A load: the instance ordinal encodes (row ir, column lc); A(ir, lc)
+  // feeds SYRK(ir, ir), the GEMMs of row ir, then column ir below it.
+  const std::int64_t ir = instance / k_;
+  const std::int64_t lc = instance % k_;
+  const auto owner = [&](std::int64_t i, std::int64_t j) {
+    return checked(dist_c_->owner(i, j));
+  };
+  add_consumer(state, owner(ir, ir), syrk_row(lc, ir));
+  for (std::int64_t j2 = 0; j2 < ir; ++j2)
+    add_consumer(state, owner(ir, j2), syrk_row(lc, ir) + 1 + j2);
+  for (std::int64_t i2 = ir + 1; i2 < t_; ++i2)
+    add_consumer(state, owner(i2, ir), syrk_row(lc, i2) + 1 + ir);
   return &state;
-}
-
-void ImplicitWorkload::release(std::int64_t instance_id) {
-  const std::int64_t* slot = live_.find(instance_id);
-  if (slot == nullptr)
-    throw std::logic_error("releasing an instance that is not in flight");
-  pool_.release(*slot);
-  live_.erase(instance_id);
-  --live_count_;
 }
 
 }  // namespace anyblock::sim

@@ -1,4 +1,4 @@
-// Implicit-DAG workload builders for the cluster simulator.
+// Materialized task-DAG builders for the cluster simulator.
 //
 // The right-looking factorizations have a fixed dependency structure, so
 // instead of a generic DAG the builder emits:
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/distribution.hpp"
+#include "core/replicated.hpp"
 #include "sim/machine.hpp"
 
 namespace anyblock::sim {
@@ -58,15 +59,18 @@ struct Workload {
   [[nodiscard]] std::int64_t message_count() const;
 };
 
-/// Builds the LU task graph for a t x t tile matrix under `distribution`.
-Workload build_lu_workload(std::int64_t t,
-                           const core::Distribution& distribution,
-                           const MachineConfig& machine);
+/// Builds the LU task graph for a t x t tile matrix.  At one layer this is
+/// the 2D right-looking schedule; with c > 1 layers it is the 2.5D schedule
+/// of sim/workload_25d.hpp (flush and reduce blocks ahead of each
+/// iteration's panel).
+Workload build_lu_workload_25d(std::int64_t t,
+                               const core::ReplicatedDistribution& distribution,
+                               const MachineConfig& machine);
 
-/// Builds the Cholesky (lower) task graph.
-Workload build_cholesky_workload(std::int64_t t,
-                                 const core::Distribution& distribution,
-                                 const MachineConfig& machine);
+/// Builds the Cholesky (lower) task graph; same layering as LU.
+Workload build_cholesky_workload_25d(
+    std::int64_t t, const core::ReplicatedDistribution& distribution,
+    const MachineConfig& machine);
 
 /// Builds the SYRK task graph C -= A*A^T for C of t x t tiles (lower,
 /// owned per `dist_c`) and A of t x k tiles (owned per `dist_a`, column l

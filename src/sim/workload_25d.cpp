@@ -1,216 +1,8 @@
 #include "sim/workload_25d.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 namespace anyblock::sim {
-namespace {
-
-/// Largest d with d * (d + 1) / 2 <= s (see implicit_workload.cpp).
-std::int64_t triangular_row(std::int64_t s) {
-  auto d = static_cast<std::int64_t>(
-      (std::sqrt(8.0 * static_cast<double>(s) + 1.0) - 1.0) / 2.0);
-  while (d > 0 && d * (d + 1) / 2 > s) --d;
-  while ((d + 1) * (d + 2) / 2 <= s) ++d;
-  return d;
-}
-
-/// Materialized-builder twin of WorkloadBuilder with chains keyed by
-/// (tile, layer): a task writing tile (i, j) on layer q chains after the
-/// previous writer of that tile *on the same layer*.  At one layer the key
-/// degenerates to the tile, reproducing WorkloadBuilder exactly.
-class Builder25d {
- public:
-  Builder25d(std::int64_t t, const core::ReplicatedDistribution& distribution,
-             const MachineConfig& machine)
-      : t_(t),
-        dist_(distribution),
-        machine_(machine),
-        last_writer_(static_cast<std::size_t>(t * t * distribution.layers()),
-                     -1),
-        instance_of_tile_(static_cast<std::size_t>(t * t), -1) {}
-
-  [[nodiscard]] std::int32_t home_node(std::int64_t l, std::int64_t i,
-                                       std::int64_t j) const {
-    return static_cast<std::int32_t>(dist_.compute_node(l, i, j));
-  }
-  [[nodiscard]] std::int32_t layer_node(std::int64_t q, std::int64_t i,
-                                        std::int64_t j) const {
-    return static_cast<std::int32_t>(
-        dist_.replica(dist_.base().owner(i, j), q));
-  }
-
-  /// Creates a task writing tile (i, j) on layer `layer`.
-  std::int64_t add_task(TaskType type, std::int64_t l, std::int64_t i,
-                        std::int64_t j, std::int32_t node,
-                        std::int64_t layer) {
-    const auto id = static_cast<std::int64_t>(work_.tasks.size());
-    SimTask task;
-    task.type = type;
-    task.l = static_cast<std::int32_t>(l);
-    task.i = static_cast<std::int32_t>(i);
-    task.j = static_cast<std::int32_t>(j);
-    task.node = node;
-    task.deps = 0;
-    const auto key =
-        static_cast<std::size_t>((i * t_ + j) * dist_.layers() + layer);
-    if (last_writer_[key] >= 0) {
-      work_.tasks[static_cast<std::size_t>(last_writer_[key])].successor = id;
-      ++task.deps;
-    }
-    last_writer_[key] = id;
-    work_.tasks.push_back(task);
-    work_.total_flops += machine_.task_flops(type);
-    return id;
-  }
-
-  std::int64_t publish_instance(std::int64_t task) {
-    const auto inst = static_cast<std::int64_t>(work_.instances.size());
-    work_.instances.push_back(
-        {work_.tasks[static_cast<std::size_t>(task)].node, {}});
-    work_.tasks[static_cast<std::size_t>(task)].publishes = inst;
-    return inst;
-  }
-
-  void publish(std::int64_t task, std::int64_t i, std::int64_t j) {
-    instance_of_tile_[static_cast<std::size_t>(i * t_ + j)] =
-        publish_instance(task);
-  }
-
-  void consume_instance(std::int64_t task, std::int64_t inst) {
-    Instance& instance = work_.instances[static_cast<std::size_t>(inst)];
-    SimTask& consumer = work_.tasks[static_cast<std::size_t>(task)];
-    ++consumer.deps;
-    for (auto& group : instance.groups) {
-      if (group.node == consumer.node) {
-        group.waiters.push_back(task);
-        return;
-      }
-    }
-    instance.groups.push_back({consumer.node, {task}});
-  }
-
-  void consume(std::int64_t task, std::int64_t i, std::int64_t j) {
-    const std::int64_t inst =
-        instance_of_tile_[static_cast<std::size_t>(i * t_ + j)];
-    if (inst < 0) throw std::logic_error("consuming an unpublished tile");
-    consume_instance(task, inst);
-  }
-
-  /// Emits the flush block then the reduce block of iteration l over the
-  /// finalized tiles listed by `for_each_tile` (called twice, same order).
-  template <class ForEachTile>
-  void add_reduction_blocks(std::int64_t l, ForEachTile&& for_each_tile) {
-    const std::int64_t remote = dist_.remote_layer_count(l);
-    if (remote == 0) return;
-    flush_insts_.clear();
-    for_each_tile([&](std::int64_t i, std::int64_t j) {
-      for (std::int64_t s = 0; s < remote; ++s) {
-        const std::int64_t q = dist_.remote_layer(l, s);
-        const std::int64_t flush =
-            add_task(TaskType::kFlush, l, i, j, layer_node(q, i, j), q);
-        flush_insts_.push_back(publish_instance(flush));
-      }
-    });
-    std::size_t next = 0;
-    const std::int64_t home = dist_.home_layer(l);
-    for_each_tile([&](std::int64_t i, std::int64_t j) {
-      for (std::int64_t s = 0; s < remote; ++s) {
-        const std::int64_t reduce =
-            add_task(TaskType::kReduce, l, i, j, home_node(l, i, j), home);
-        consume_instance(reduce, flush_insts_[next++]);
-      }
-    });
-  }
-
-  Workload take() { return std::move(work_); }
-
- private:
-  std::int64_t t_;
-  const core::ReplicatedDistribution& dist_;
-  const MachineConfig& machine_;
-  Workload work_;
-  std::vector<std::int64_t> last_writer_;     ///< keyed (i*t + j)*c + layer
-  std::vector<std::int64_t> instance_of_tile_;
-  std::vector<std::int64_t> flush_insts_;
-};
-
-}  // namespace
-
-Workload build_lu_workload_25d(std::int64_t t,
-                               const core::ReplicatedDistribution& distribution,
-                               const MachineConfig& machine) {
-  if (t <= 0) throw std::invalid_argument("tile grid must be positive");
-  Builder25d builder(t, distribution, machine);
-  for (std::int64_t l = 0; l < t; ++l) {
-    const std::int64_t home = distribution.home_layer(l);
-    builder.add_reduction_blocks(l, [&](auto&& tile) {
-      tile(l, l);
-      for (std::int64_t i = l + 1; i < t; ++i) tile(i, l);
-      for (std::int64_t j = l + 1; j < t; ++j) tile(l, j);
-    });
-    const std::int64_t getrf = builder.add_task(
-        TaskType::kGetrf, l, l, l, builder.home_node(l, l, l), home);
-    builder.publish(getrf, l, l);
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      const std::int64_t trsm = builder.add_task(
-          TaskType::kTrsm, l, i, l, builder.home_node(l, i, l), home);
-      builder.consume(trsm, l, l);
-      builder.publish(trsm, i, l);
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      const std::int64_t trsm = builder.add_task(
-          TaskType::kTrsm, l, l, j, builder.home_node(l, l, j), home);
-      builder.consume(trsm, l, l);
-      builder.publish(trsm, l, j);
-    }
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      for (std::int64_t j = l + 1; j < t; ++j) {
-        const std::int64_t gemm = builder.add_task(
-            TaskType::kGemm, l, i, j, builder.home_node(l, i, j), home);
-        builder.consume(gemm, i, l);
-        builder.consume(gemm, l, j);
-      }
-    }
-  }
-  return builder.take();
-}
-
-Workload build_cholesky_workload_25d(
-    std::int64_t t, const core::ReplicatedDistribution& distribution,
-    const MachineConfig& machine) {
-  if (t <= 0) throw std::invalid_argument("tile grid must be positive");
-  Builder25d builder(t, distribution, machine);
-  for (std::int64_t l = 0; l < t; ++l) {
-    const std::int64_t home = distribution.home_layer(l);
-    builder.add_reduction_blocks(l, [&](auto&& tile) {
-      tile(l, l);
-      for (std::int64_t i = l + 1; i < t; ++i) tile(i, l);
-    });
-    const std::int64_t potrf = builder.add_task(
-        TaskType::kPotrf, l, l, l, builder.home_node(l, l, l), home);
-    builder.publish(potrf, l, l);
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      const std::int64_t trsm = builder.add_task(
-          TaskType::kTrsm, l, i, l, builder.home_node(l, i, l), home);
-      builder.consume(trsm, l, l);
-      builder.publish(trsm, i, l);
-    }
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      const std::int64_t syrk = builder.add_task(
-          TaskType::kSyrk, l, i, i, builder.home_node(l, i, i), home);
-      builder.consume(syrk, i, l);
-      for (std::int64_t j = l + 1; j < i; ++j) {
-        const std::int64_t gemm = builder.add_task(
-            TaskType::kGemm, l, i, j, builder.home_node(l, i, j), home);
-        builder.consume(gemm, i, l);
-        builder.consume(gemm, j, l);
-      }
-    }
-  }
-  return builder.take();
-}
 
 Implicit25dWorkload::Implicit25dWorkload(
     SimKernel kernel, std::int64_t t,
@@ -220,17 +12,21 @@ Implicit25dWorkload::Implicit25dWorkload(
       t_(t),
       layers_(distribution.layers()),
       dist_(&distribution),
+      base_(&distribution.base()),
+      base_nodes_(distribution.base_nodes()),
       machine_(&machine) {
   if (t <= 0) throw std::invalid_argument("tile grid must be positive");
   if (kernel != SimKernel::kLu && kernel != SimKernel::kCholesky)
     throw std::invalid_argument("2.5D supports LU and Cholesky");
   task_base_.resize(static_cast<std::size_t>(t) + 1);
   inst_base_.resize(static_cast<std::size_t>(t) + 1);
+  layer_.resize(static_cast<std::size_t>(t));
   std::int64_t tasks = 0;
   std::int64_t insts = 0;
   for (std::int64_t l = 0; l < t; ++l) {
     task_base_[static_cast<std::size_t>(l)] = tasks;
     inst_base_[static_cast<std::size_t>(l)] = insts;
+    layer_[static_cast<std::size_t>(l)] = distribution.home_layer(l);
     const std::int64_t k = t - 1 - l;
     const std::int64_t fb = flush_block(l);
     total_flops_ += static_cast<double>(fb) *
@@ -344,17 +140,12 @@ TaskView Implicit25dWorkload::task(std::int64_t id) const {
   const std::int64_t ibase = inst_base_[static_cast<std::size_t>(l)];
 
   if (raw.type == TaskType::kFlush) {
-    const std::int64_t q = dist_->remote_layer(l, raw.slot);
-    const auto node =
-        static_cast<std::int32_t>(dist_->replica(dist_->base().owner(raw.i, raw.j), q));
-    if (node < 0 || node >= machine_->nodes)
-      throw std::invalid_argument("task node outside the machine");
-    view.node = node;
+    view.node = node_on(dist_->remote_layer(l, raw.slot), raw.i, raw.j);
     view.publishes = ibase + tile_index(l, raw.i, raw.j) * rq(l) + raw.slot;
     return view;
   }
 
-  view.node = compute_node(l, raw.i, raw.j);
+  view.node = node_on(layer(l), raw.i, raw.j);
 
   switch (raw.type) {
     case TaskType::kReduce:
@@ -375,10 +166,10 @@ TaskView Implicit25dWorkload::task(std::int64_t id) const {
       const std::int64_t m = raw.i;
       if (l + layers_ < m) {
         view.successor = chol_row(l + layers_, raw.i);
-      } else if (dist_->home_layer(l) == dist_->home_layer(m)) {
+      } else if (layer(l) == layer(m)) {
         view.successor = finalize_entry(m, raw.i, raw.i);
       } else {
-        view.successor = flush_task(m, raw.i, raw.i, dist_->home_layer(l));
+        view.successor = flush_task(m, raw.i, raw.i, layer(l));
       }
       break;
     }
@@ -389,10 +180,10 @@ TaskView Implicit25dWorkload::task(std::int64_t id) const {
                              ? lu_gemm(l + layers_, raw.i, raw.j)
                              : chol_row(l + layers_, raw.i) +
                                    (raw.j - (l + layers_));
-      } else if (dist_->home_layer(l) == dist_->home_layer(m)) {
+      } else if (layer(l) == layer(m)) {
         view.successor = finalize_entry(m, raw.i, raw.j);
       } else {
-        view.successor = flush_task(m, raw.i, raw.j, dist_->home_layer(l));
+        view.successor = flush_task(m, raw.i, raw.j, layer(l));
       }
       break;
     }
@@ -403,92 +194,59 @@ TaskView Implicit25dWorkload::task(std::int64_t id) const {
   return view;
 }
 
-ImplicitInstance& Implicit25dWorkload::begin_instance(std::int64_t instance_id,
-                                                      std::int32_t producer) {
-  const std::int64_t slot = pool_.acquire();
-  live_.at_or_insert(instance_id, slot) = slot;
-  ++live_count_;
-  if (live_count_ > live_peak_) live_peak_ = live_count_;
-  ImplicitInstance& state = pool_[slot];
-  state.producer_node = producer;
-  state.used_groups = 0;
-  return state;
-}
-
-void Implicit25dWorkload::add_consumer(ImplicitInstance& state,
-                                       std::int32_t node,
-                                       std::int64_t waiter) {
-  for (std::int32_t g = 0; g < state.used_groups; ++g) {
-    ImplicitGroup& group = state.groups[static_cast<std::size_t>(g)];
-    if (group.node == node) {
-      group.waiters.push_back(waiter);
-      return;
-    }
-  }
-  if (state.used_groups == static_cast<std::int32_t>(state.groups.size()))
-    state.groups.emplace_back();
-  ImplicitGroup& group =
-      state.groups[static_cast<std::size_t>(state.used_groups++)];
-  group.node = node;
-  group.waiters.clear();
-  group.waiters.push_back(waiter);
-}
-
 Implicit25dWorkload::InstanceHandle Implicit25dWorkload::publish(
     std::int64_t instance, const TaskView& task) {
   ImplicitInstance& state = begin_instance(instance, task.node);
   const std::int64_t l = task.l;
   const std::int64_t i = task.i;
   const std::int64_t j = task.j;
-  const std::int64_t k = t_ - 1 - l;
+  const std::int64_t t = t_;
+  const std::int64_t k = t - 1 - l;
   const std::int64_t fb = flush_block(l);
   const std::int64_t base = task_base_[static_cast<std::size_t>(l)];
+  const std::int64_t body = base + 2 * fb;  ///< first 2D-body task of l
+  const std::int64_t home = layer(l);
+  const auto node = [&](std::int64_t i2, std::int64_t j2) {
+    return node_on(home, i2, j2);
+  };
 
+  // Consumer ordinals are computed once per loop, not per consumer: the
+  // loops below run once per published tile and consumer.
   if (task.type == TaskType::kFlush) {
     // One consumer: the matching reduce on the home replica, at the same
     // offset inside the reduce block as this flush inside the flush block.
     const std::int64_t offset =
         instance - inst_base_[static_cast<std::size_t>(l)];
-    add_consumer(state, compute_node(l, i, j), base + fb + offset);
-    return &state;
-  }
-
-  if (kernel_ == SimKernel::kLu) {
-    if (task.type == TaskType::kGetrf) {
-      for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-        add_consumer(state, compute_node(l, i2, l), base + 2 * fb + (i2 - l));
-      for (std::int64_t j2 = l + 1; j2 < t_; ++j2)
-        add_consumer(state, compute_node(l, l, j2),
-                     base + 2 * fb + k + (j2 - l));
-    } else if (task.j == l) {
-      for (std::int64_t j2 = l + 1; j2 < t_; ++j2)
-        add_consumer(state, compute_node(l, i, j2), lu_gemm(l, i, j2));
-    } else {
-      for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-        add_consumer(state, compute_node(l, i2, j), lu_gemm(l, i2, j));
-    }
+    add_consumer(state, node(i, j), base + fb + offset);
+  } else if (task.type == TaskType::kGetrf) {
+    for (std::int64_t i2 = l + 1; i2 < t; ++i2)
+      add_consumer(state, node(i2, l), body + (i2 - l));
+    for (std::int64_t j2 = l + 1; j2 < t; ++j2)
+      add_consumer(state, node(l, j2), body + k + (j2 - l));
+  } else if (task.type == TaskType::kPotrf) {
+    for (std::int64_t i2 = l + 1; i2 < t; ++i2)
+      add_consumer(state, node(i2, l), body + (i2 - l));
+  } else if (kernel_ == SimKernel::kLu && j == l) {
+    // TRSM(l, i, l): the GEMM row i.
+    const std::int64_t row = lu_gemm(l, i, l + 1);
+    for (std::int64_t j2 = l + 1; j2 < t; ++j2)
+      add_consumer(state, node(i, j2), row + (j2 - l - 1));
+  } else if (kernel_ == SimKernel::kLu) {
+    // TRSM(l, l, j): the GEMM column j.
+    const std::int64_t column = lu_gemm(l, l + 1, j);
+    for (std::int64_t i2 = l + 1; i2 < t; ++i2)
+      add_consumer(state, node(i2, j), column + (i2 - l - 1) * k);
   } else {
-    if (task.type == TaskType::kPotrf) {
-      for (std::int64_t i2 = l + 1; i2 < t_; ++i2)
-        add_consumer(state, compute_node(l, i2, l), base + 2 * fb + (i2 - l));
-    } else {
-      add_consumer(state, compute_node(l, i, i), chol_row(l, i));
-      for (std::int64_t j2 = l + 1; j2 < i; ++j2)
-        add_consumer(state, compute_node(l, i, j2), chol_row(l, i) + (j2 - l));
-      for (std::int64_t i2 = i + 1; i2 < t_; ++i2)
-        add_consumer(state, compute_node(l, i2, i), chol_row(l, i2) + (i - l));
-    }
+    // Cholesky TRSM(l, i, l): SYRK(i, i), the GEMMs of row i, then the
+    // GEMMs of column i in lower rows — the builder's traversal.
+    const std::int64_t row = chol_row(l, i);
+    add_consumer(state, node(i, i), row);
+    for (std::int64_t j2 = l + 1; j2 < i; ++j2)
+      add_consumer(state, node(i, j2), row + (j2 - l));
+    for (std::int64_t i2 = i + 1; i2 < t; ++i2)
+      add_consumer(state, node(i2, i), chol_row(l, i2) + (i - l));
   }
   return &state;
-}
-
-void Implicit25dWorkload::release(std::int64_t instance_id) {
-  const std::int64_t* slot = live_.find(instance_id);
-  if (slot == nullptr)
-    throw std::logic_error("releasing an instance that is not in flight");
-  pool_.release(*slot);
-  live_.erase(instance_id);
-  --live_count_;
 }
 
 }  // namespace anyblock::sim

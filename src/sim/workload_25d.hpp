@@ -16,19 +16,19 @@
 //                     finalizing GETRF/POTRF/TRSM chains after the last.
 //
 // Per iteration l (k = t-1-l, rq = min(l, c-1) remote layers) the task
-// order is: the flush block, the reduce block, then the unchanged 2D body
-// (panel ops and the layer's GEMMs/SYRKs).  Chains are keyed by
-// (tile, layer) — a GEMM chains after the previous writer of the same tile
-// *on its own layer* — so at c = 1 both blocks are empty, the layer key is
-// constant, and the construction degenerates task-for-task, instance-for-
-// instance into build_lu_workload/build_cholesky_workload: the golden
-// equivalence tests pin that bit-identity across collectives, workload
-// modes and fault plans.
+// order is: the flush block, the reduce block, then the 2D body (panel ops
+// and the layer's GEMMs/SYRKs).  Chains are keyed by (tile, layer) — a
+// GEMM chains after the previous writer of the same tile *on its own
+// layer*.  At c = 1 both blocks are empty and the layer key is constant,
+// so the one-layer schedule *is* the 2D right-looking schedule; it is the
+// only LU/Cholesky DAG the simulator has.  Digests pinned from the former
+// dedicated 2D generators (tests/sim/equivalence_25d_test.cpp) anchor it.
 //
-// Implicit25dWorkload is the generator-driven twin (the exact analogue of
-// ImplicitWorkload): ordinals reproduce the materialized 2.5D builder's
-// construction order from closed forms, so both modes simulate the same
-// trajectory while the implicit frontier stays O(t^2).
+// The materialized builders (build_lu_workload_25d,
+// build_cholesky_workload_25d) live in sim/workload.hpp.
+// Implicit25dWorkload is their generator-driven twin: ordinals reproduce
+// the builder's construction order from closed forms, so both modes
+// simulate the same trajectory while the implicit frontier stays O(t^2).
 #pragma once
 
 #include <cstdint>
@@ -37,22 +37,11 @@
 #include "core/replicated.hpp"
 #include "sim/implicit_workload.hpp"
 #include "sim/machine.hpp"
-#include "sim/pool.hpp"
 #include "sim/workload.hpp"
 
 namespace anyblock::sim {
 
-/// Builds the materialized 2.5D LU task graph for a t x t tile matrix.
-Workload build_lu_workload_25d(std::int64_t t,
-                               const core::ReplicatedDistribution& distribution,
-                               const MachineConfig& machine);
-
-/// Builds the materialized 2.5D Cholesky (lower) task graph.
-Workload build_cholesky_workload_25d(
-    std::int64_t t, const core::ReplicatedDistribution& distribution,
-    const MachineConfig& machine);
-
-class Implicit25dWorkload {
+class Implicit25dWorkload : public ImplicitFrontier<Implicit25dWorkload> {
  public:
   /// kLu or kCholesky on a t x t tile grid under `distribution`.
   Implicit25dWorkload(SimKernel kernel, std::int64_t t,
@@ -71,46 +60,8 @@ class Implicit25dWorkload {
 
   [[nodiscard]] TaskView task(std::int64_t id) const;
 
-  bool satisfy(std::int64_t id) {
-    std::int64_t& deps = deps_.at_or_insert(id, -1);
-    if (deps < 0) deps = initial_deps(id);
-    if (--deps == 0) {
-      deps_.erase(id);
-      return true;
-    }
-    return false;
-  }
-
-  using InstanceHandle = const ImplicitInstance*;
-
+  /// Builds the consumer groups of `instance` when its producer finishes.
   InstanceHandle publish(std::int64_t instance, const TaskView& task);
-  [[nodiscard]] InstanceHandle instance(std::int64_t instance_id) {
-    const std::int64_t* slot = live_.find(instance_id);
-    if (slot == nullptr)
-      throw std::logic_error("implicit instance not in flight");
-    return &pool_[*slot];
-  }
-  void release(std::int64_t instance_id);
-
-  static std::int32_t producer_node(InstanceHandle handle) {
-    return handle->producer_node;
-  }
-  static std::int64_t group_count(InstanceHandle handle) {
-    return handle->used_groups;
-  }
-  static std::int32_t group_node(InstanceHandle handle, std::int64_t g) {
-    return handle->groups[static_cast<std::size_t>(g)].node;
-  }
-  template <class F>
-  static void for_each_waiter(InstanceHandle handle, std::int64_t g, F&& f) {
-    for (const std::int64_t waiter :
-         handle->groups[static_cast<std::size_t>(g)].waiters)
-      f(waiter);
-  }
-
-  [[nodiscard]] std::int64_t frontier_peak() const {
-    return static_cast<std::int64_t>(deps_.peak_size()) + live_peak_;
-  }
 
   /// Closed-form unmet-dependency count at creation (public for tests).
   [[nodiscard]] std::int32_t initial_deps(std::int64_t id) const;
@@ -125,9 +76,15 @@ class Implicit25dWorkload {
   [[nodiscard]] Decoded decode(std::int64_t id) const;
   [[nodiscard]] std::int64_t iteration_of(std::int64_t id) const;
 
-  /// min(l, c - 1): remote layers flushing into iteration l's tiles.
+  /// l mod c, the compute layer of iteration l (a table: the hot paths
+  /// would otherwise pay an integer division per task).
+  [[nodiscard]] std::int64_t layer(std::int64_t l) const {
+    return layer_[static_cast<std::size_t>(l)];
+  }
+  /// min(l, c - 1): remote layers flushing into iteration l's tiles
+  /// (ReplicatedDistribution::remote_layer_count, without the indirection).
   [[nodiscard]] std::int64_t rq(std::int64_t l) const {
-    return dist_->remote_layer_count(l);
+    return l < layers_ - 1 ? l : layers_ - 1;
   }
   /// Flush-block size of iteration l (== reduce-block size).
   [[nodiscard]] std::int64_t flush_block(std::int64_t l) const {
@@ -143,12 +100,14 @@ class Implicit25dWorkload {
     return (t_ - 1 - l) + (j - l);
   }
 
-  [[nodiscard]] std::int32_t compute_node(std::int64_t l, std::int64_t i,
-                                          std::int64_t j) const {
-    const auto node = static_cast<std::int32_t>(dist_->compute_node(l, i, j));
+  /// Replica of tile (i, j)'s base owner on `layer`, checked against the
+  /// machine.  Callers hoist the layer out of their consumer loops.
+  [[nodiscard]] std::int32_t node_on(std::int64_t layer, std::int64_t i,
+                                     std::int64_t j) const {
+    const std::int64_t node = layer * base_nodes_ + base_->owner(i, j);
     if (node < 0 || node >= machine_->nodes)
       throw std::invalid_argument("task node outside the machine");
-    return node;
+    return static_cast<std::int32_t>(node);
   }
 
   /// Ordinal of GEMM(l, i, j) in the LU layout.
@@ -181,28 +140,20 @@ class Implicit25dWorkload {
            tile_index(m, i, j) * rq(m) + dist_->remote_slot(m, q);
   }
 
-  ImplicitInstance& begin_instance(std::int64_t instance_id,
-                                   std::int32_t producer);
-  static void add_consumer(ImplicitInstance& state, std::int32_t node,
-                           std::int64_t waiter);
-
   SimKernel kernel_;
   std::int64_t t_ = 0;
   std::int64_t layers_ = 1;
   const core::ReplicatedDistribution* dist_ = nullptr;
+  const core::Distribution* base_ = nullptr;  ///< dist_->base()
+  std::int64_t base_nodes_ = 0;
   const MachineConfig* machine_ = nullptr;
 
   std::vector<std::int64_t> task_base_;
   std::vector<std::int64_t> inst_base_;
+  std::vector<std::int64_t> layer_;
   std::int64_t task_count_ = 0;
   std::int64_t instance_count_ = 0;
   double total_flops_ = 0.0;
-
-  FlatMap64 deps_;
-  FlatMap64 live_;
-  RecyclingPool<ImplicitInstance> pool_;
-  std::int64_t live_count_ = 0;
-  std::int64_t live_peak_ = 0;
 };
 
 }  // namespace anyblock::sim

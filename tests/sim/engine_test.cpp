@@ -27,7 +27,8 @@ TEST(SimEngine, SingleWorkerRunsSerially) {
   // One node, one worker: makespan is exactly the sum of task durations.
   const MachineConfig machine = test_machine(1, 1);
   const auto dist = dist_for(core::make_2dbc(1, 1), 8, false);
-  const Workload work = build_lu_workload(8, dist, machine);
+  const Workload work =
+      build_lu_workload_25d(8, core::one_layer(dist), machine);
   double serial = 0.0;
   for (const auto& task : work.tasks) serial += machine.task_seconds(task.type);
   const SimReport report = simulate(work, machine);
@@ -73,7 +74,8 @@ TEST(SimEngine, DeterministicAcrossRuns) {
 TEST(SimEngine, MessagesMatchWorkload) {
   const auto dist = dist_for(core::make_2dbc(2, 3), 15, false);
   const MachineConfig machine = test_machine(6);
-  const Workload work = build_lu_workload(15, dist, machine);
+  const Workload work =
+      build_lu_workload_25d(15, core::one_layer(dist), machine);
   const std::int64_t expected = work.message_count();
   const SimReport report = simulate(work, machine);
   EXPECT_EQ(report.messages, expected);
@@ -140,7 +142,8 @@ TEST(SimEngine, CholeskyWorkloadRunsWithGcrmPattern) {
       simulate_cholesky(t, dist_for(search.best, t, true), machine);
   EXPECT_GT(report.total_gflops(), 0.0);
   EXPECT_EQ(report.tasks,
-            build_cholesky_workload(t, dist_for(search.best, t, true), machine)
+            build_cholesky_workload_25d(
+                t, core::one_layer(dist_for(search.best, t, true)), machine)
                 .task_count());
 }
 

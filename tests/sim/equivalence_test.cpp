@@ -17,11 +17,13 @@
 #include "core/block_cyclic.hpp"
 #include "core/g2dbc.hpp"
 #include "core/pattern_search.hpp"
+#include "core/replicated.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/implicit_workload.hpp"
 #include "sim/workload.hpp"
+#include "sim/workload_25d.hpp"
 
 namespace anyblock::sim {
 namespace {
@@ -198,7 +200,8 @@ TEST(QueueEquivalence, CalendarAndHeapSimulateIdentically) {
 // ---------------------------------------------------------------------------
 // Structural equivalence: the generator's closed forms versus the builder.
 
-void expect_same_structure(const Workload& work, ImplicitWorkload& model) {
+template <class Model>
+void expect_same_structure(const Workload& work, Model& model) {
   ASSERT_EQ(work.task_count(), model.task_count());
   ASSERT_EQ(static_cast<std::int64_t>(work.instances.size()),
             model.instance_count());
@@ -222,17 +225,15 @@ void expect_same_structure(const Workload& work, ImplicitWorkload& model) {
         work.instances[static_cast<std::size_t>(task.publishes)];
     const auto handle = model.publish(task.publishes, view);
     ASSERT_EQ(static_cast<std::int64_t>(instance.groups.size()),
-              ImplicitWorkload::group_count(handle))
+              Model::group_count(handle))
         << id;
-    EXPECT_EQ(instance.producer_node,
-              ImplicitWorkload::producer_node(handle));
+    EXPECT_EQ(instance.producer_node, Model::producer_node(handle));
     for (std::size_t g = 0; g < instance.groups.size(); ++g) {
       EXPECT_EQ(instance.groups[g].node,
-                ImplicitWorkload::group_node(
-                    handle, static_cast<std::int64_t>(g)))
+                Model::group_node(handle, static_cast<std::int64_t>(g)))
           << id;
       std::vector<std::int64_t> waiters;
-      ImplicitWorkload::for_each_waiter(
+      Model::for_each_waiter(
           handle, static_cast<std::int64_t>(g),
           [&](std::int64_t waiter) { waiters.push_back(waiter); });
       EXPECT_EQ(instance.groups[g].waiters, waiters) << id;
@@ -247,17 +248,20 @@ TEST(ImplicitStructure, MatchesMaterializedBuilderEverywhere) {
   for (const DistCase& dist : dist_cases()) {
     machine.nodes = dist.nodes;
     const std::int64_t t = 13;
+    // LU and Cholesky: the one-layer case of the replicated generator.
     {
-      const core::PatternDistribution d(dist.pattern, t, false);
-      const Workload work = build_lu_workload(t, d, machine);
-      ImplicitWorkload model(SimKernel::kLu, t, d, machine);
+      const core::PatternDistribution base(dist.pattern, t, false);
+      const core::ReplicatedDistribution d = core::one_layer(base);
+      const Workload work = build_lu_workload_25d(t, d, machine);
+      Implicit25dWorkload model(SimKernel::kLu, t, d, machine);
       SCOPED_TRACE(std::string("lu ") + dist.name);
       expect_same_structure(work, model);
     }
     {
-      const core::PatternDistribution d(dist.pattern, t, true);
-      const Workload work = build_cholesky_workload(t, d, machine);
-      ImplicitWorkload model(SimKernel::kCholesky, t, d, machine);
+      const core::PatternDistribution base(dist.pattern, t, true);
+      const core::ReplicatedDistribution d = core::one_layer(base);
+      const Workload work = build_cholesky_workload_25d(t, d, machine);
+      Implicit25dWorkload model(SimKernel::kCholesky, t, d, machine);
       SCOPED_TRACE(std::string("cholesky ") + dist.name);
       expect_same_structure(work, model);
     }
@@ -291,10 +295,11 @@ TEST(ImplicitStructure, RejectsForeignNodeIdsLazily) {
 
 TEST(Int64Ordinals, LuPastTheInt32Boundary) {
   const std::int64_t t = 1900;
-  const core::PatternDistribution dist(core::make_2dbc(2, 2), t, false);
+  const core::PatternDistribution base(core::make_2dbc(2, 2), t, false);
+  const core::ReplicatedDistribution dist = core::one_layer(base);
   MachineConfig machine;
   machine.nodes = 4;
-  const ImplicitWorkload model(SimKernel::kLu, t, dist, machine);
+  const Implicit25dWorkload model(SimKernel::kLu, t, dist, machine);
 
   // Closed form: t GETRF + t(t-1) TRSM + (t-1)t(2t-1)/6 GEMM.
   const std::int64_t expected =
@@ -331,10 +336,11 @@ TEST(Int64Ordinals, CholeskyCountsStayExactAtHugeGrids) {
   // The acceptance-scale grid: Cholesky P = 4096, t = 2048 has ~1.43e9
   // tasks; t = 8192 would be ~9.2e10.  Counting must not overflow or lose
   // precision (the old code multiplied int32 t * t).
-  const core::PatternDistribution dist(core::make_2dbc(64, 64), 8192, true);
+  const core::PatternDistribution base(core::make_2dbc(64, 64), 8192, true);
+  const core::ReplicatedDistribution dist = core::one_layer(base);
   MachineConfig machine;
   machine.nodes = 4096;
-  const ImplicitWorkload model(SimKernel::kCholesky, 8192, dist, machine);
+  const Implicit25dWorkload model(SimKernel::kCholesky, 8192, dist, machine);
   const std::int64_t t = 8192;
   std::int64_t expected = 0;
   for (std::int64_t l = 0; l < t; ++l) {

@@ -18,10 +18,20 @@ MachineConfig machine_for(std::int64_t nodes) {
   return machine;
 }
 
+// The 2D task graphs: the one-layer case of the replicated builders.
+Workload lu_workload(std::int64_t t, const core::Distribution& dist,
+                     const MachineConfig& machine) {
+  return build_lu_workload_25d(t, core::one_layer(dist), machine);
+}
+Workload cholesky_workload(std::int64_t t, const core::Distribution& dist,
+                           const MachineConfig& machine) {
+  return build_cholesky_workload_25d(t, core::one_layer(dist), machine);
+}
+
 TEST(Workload, LuTaskCount) {
   // t iterations: 1 GETRF + 2(t-1-l) TRSM + (t-1-l)^2 GEMM.
   const core::PatternDistribution dist(core::make_2dbc(2, 2), 8, false);
-  const Workload work = build_lu_workload(8, dist, machine_for(4));
+  const Workload work = lu_workload(8, dist, machine_for(4));
   std::int64_t expected = 0;
   for (std::int64_t l = 0; l < 8; ++l) {
     const std::int64_t k = 8 - 1 - l;
@@ -33,7 +43,7 @@ TEST(Workload, LuTaskCount) {
 TEST(Workload, CholeskyTaskCount) {
   // t iterations: 1 POTRF + (t-1-l) TRSM + (t-1-l) SYRK + C(t-1-l,2) GEMM.
   const core::PatternDistribution dist(core::make_2dbc(2, 2), 7, true);
-  const Workload work = build_cholesky_workload(7, dist, machine_for(4));
+  const Workload work = cholesky_workload(7, dist, machine_for(4));
   std::int64_t expected = 0;
   for (std::int64_t l = 0; l < 7; ++l) {
     const std::int64_t k = 7 - 1 - l;
@@ -45,7 +55,7 @@ TEST(Workload, CholeskyTaskCount) {
 TEST(Workload, TotalFlopsMatchKernelSums) {
   const MachineConfig machine = machine_for(4);
   const core::PatternDistribution dist(core::make_2dbc(2, 2), 6, false);
-  const Workload work = build_lu_workload(6, dist, machine);
+  const Workload work = lu_workload(6, dist, machine);
   double expected = 0.0;
   for (const auto& task : work.tasks) expected += machine.task_flops(task.type);
   EXPECT_DOUBLE_EQ(work.total_flops, expected);
@@ -62,7 +72,7 @@ TEST(Workload, MessageCountEqualsExactVolumeLu) {
     const std::int64_t t = 12;
     const core::PatternDistribution dist(pattern, t, false);
     const Workload work =
-        build_lu_workload(t, dist, machine_for(pattern.num_nodes()));
+        lu_workload(t, dist, machine_for(pattern.num_nodes()));
     EXPECT_EQ(work.message_count(), core::exact_lu_volume(pattern, t));
   }
 }
@@ -73,7 +83,7 @@ TEST(Workload, MessageCountEqualsExactVolumeCholesky) {
     const std::int64_t t = 12;
     const core::PatternDistribution dist(pattern, t, true);
     const Workload work =
-        build_cholesky_workload(t, dist, machine_for(pattern.num_nodes()));
+        cholesky_workload(t, dist, machine_for(pattern.num_nodes()));
     EXPECT_EQ(work.message_count(), core::exact_cholesky_volume(pattern, t));
   }
 }
@@ -82,14 +92,14 @@ TEST(Workload, TasksRunOnOwners) {
   const core::Pattern pattern = core::make_2dbc(2, 3);
   const std::int64_t t = 9;
   const core::PatternDistribution dist(pattern, t, false);
-  const Workload work = build_lu_workload(t, dist, machine_for(6));
+  const Workload work = lu_workload(t, dist, machine_for(6));
   for (const auto& task : work.tasks)
     EXPECT_EQ(task.node, dist.owner(task.i, task.j));
 }
 
 TEST(Workload, ChainSuccessorsAreOnSameTileAndNode) {
   const core::PatternDistribution dist(core::make_2dbc(2, 2), 8, false);
-  const Workload work = build_lu_workload(8, dist, machine_for(4));
+  const Workload work = lu_workload(8, dist, machine_for(4));
   for (const auto& task : work.tasks) {
     if (task.successor < 0) continue;
     const SimTask& next =
@@ -105,7 +115,7 @@ TEST(Workload, DepsAreConsistent) {
   // Every task's dependency count equals (has chain predecessor) + number
   // of instances listing it as a waiter.
   const core::PatternDistribution dist(core::make_2dbc(2, 3), 10, false);
-  const Workload work = build_lu_workload(10, dist, machine_for(6));
+  const Workload work = lu_workload(10, dist, machine_for(6));
   std::vector<std::int32_t> expected(work.tasks.size(), 0);
   for (const auto& task : work.tasks) {
     if (task.successor >= 0)
@@ -121,15 +131,15 @@ TEST(Workload, DepsAreConsistent) {
 
 TEST(Workload, SingleNodeHasNoMessages) {
   const core::PatternDistribution dist(core::make_2dbc(1, 1), 10, false);
-  EXPECT_EQ(build_lu_workload(10, dist, machine_for(1)).message_count(), 0);
+  EXPECT_EQ(lu_workload(10, dist, machine_for(1)).message_count(), 0);
   const core::PatternDistribution sdist(core::make_2dbc(1, 1), 10, true);
-  EXPECT_EQ(build_cholesky_workload(10, sdist, machine_for(1)).message_count(),
+  EXPECT_EQ(cholesky_workload(10, sdist, machine_for(1)).message_count(),
             0);
 }
 
 TEST(Workload, RejectsBadGrid) {
   const core::PatternDistribution dist(core::make_2dbc(1, 1), 4, false);
-  EXPECT_THROW(build_lu_workload(0, dist, machine_for(1)),
+  EXPECT_THROW(lu_workload(0, dist, machine_for(1)),
                std::invalid_argument);
 }
 

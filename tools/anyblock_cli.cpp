@@ -522,17 +522,21 @@ int cmd_simulate(int argc, char** argv) {
   obs::Recorder recorder;
   if (!trace_path.empty() || !metrics_path.empty())
     machine.recorder = &recorder;
-  // The c = 1 path stays on the plain 2D entry points; c > 1 stacks the
-  // base pattern and routes through the 2.5D schedule.
+  // One schedule for every memory factor: c = 1 is the plain 2D run.
   const auto base = std::make_shared<core::PatternDistribution>(
       rec.pattern, t, symmetric, rec.scheme);
   const core::ReplicatedDistribution dist(base, memory_factor);
   const sim::SimReport report =
-      memory_factor > 1
-          ? (symmetric ? sim::simulate_cholesky_25d(t, dist, machine)
-                       : sim::simulate_lu_25d(t, dist, machine))
-          : (symmetric ? sim::simulate_cholesky(t, *base, machine)
-                       : sim::simulate_lu(t, *base, machine));
+      symmetric ? sim::simulate_cholesky_25d(t, dist, machine)
+                : sim::simulate_lu_25d(t, dist, machine);
+  // O(t^3) to count, so only the c > 1 report rows ask for it.
+  const auto volume = [&] {
+    return symmetric ? core::exact_cholesky_volume_25d(dist, t)
+                     : core::exact_lu_volume_25d(dist, t);
+  };
+  const double io_bound =
+      symmetric ? core::cholesky_io_lower_bound_tiles(t, P, memory_factor)
+                : core::lu_io_lower_bound_tiles(t, P, memory_factor);
   if (machine.recorder) {
     const obs::Trace trace = recorder.take();
     if (!trace_path.empty() && !obs::write_chrome_trace_file(trace_path, trace)) {
@@ -542,15 +546,9 @@ int cmd_simulate(int argc, char** argv) {
     if (!metrics_path.empty()) {
       obs::MetricsOptions metrics;
       metrics.predicted_messages =
-          memory_factor > 1
-              ? (symmetric ? core::exact_cholesky_messages_25d(
-                                 dist, t, machine.collective)
-                           : core::exact_lu_messages_25d(dist, t,
-                                                         machine.collective))
-              : (symmetric
-                     ? core::exact_cholesky_messages(*base, t,
-                                                     machine.collective)
-                     : core::exact_lu_messages(*base, t, machine.collective));
+          symmetric
+              ? core::exact_cholesky_messages_25d(dist, t, machine.collective)
+              : core::exact_lu_messages_25d(dist, t, machine.collective);
       const double engine_seconds = report.build_seconds + report.run_seconds;
       metrics.extra = {
           {"sim_events", static_cast<double>(report.events)},
@@ -567,15 +565,8 @@ int cmd_simulate(int argc, char** argv) {
         metrics.extra.push_back(
             {"memory_factor", static_cast<double>(memory_factor)});
         metrics.extra.push_back(
-            {"comm_volume_tiles",
-             static_cast<double>(
-                 symmetric ? core::exact_cholesky_volume_25d(dist, t)
-                           : core::exact_lu_volume_25d(dist, t))});
-        metrics.extra.push_back(
-            {"comm_volume_bound",
-             symmetric
-                 ? core::cholesky_io_lower_bound_tiles(t, P, memory_factor)
-                 : core::lu_io_lower_bound_tiles(t, P, memory_factor)});
+            {"comm_volume_tiles", static_cast<double>(volume())});
+        metrics.extra.push_back({"comm_volume_bound", io_bound});
       }
       if (!obs::write_metrics_csv_file(metrics_path, trace, metrics)) {
         std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
@@ -595,12 +586,7 @@ int cmd_simulate(int argc, char** argv) {
                 static_cast<long long>(memory_factor),
                 static_cast<long long>(dist.base_nodes()),
                 static_cast<long long>(memory_factor),
-                static_cast<long long>(
-                    symmetric ? core::exact_cholesky_volume_25d(dist, t)
-                              : core::exact_lu_volume_25d(dist, t)),
-                symmetric
-                    ? core::cholesky_io_lower_bound_tiles(t, P, memory_factor)
-                    : core::lu_io_lower_bound_tiles(t, P, memory_factor));
+                static_cast<long long>(volume()), io_bound);
   std::printf("  workload      %s (%lld tasks, frontier peak %lld)\n",
               machine.workload_mode == sim::WorkloadMode::kImplicit
                   ? "implicit"
@@ -713,16 +699,11 @@ int cmd_run(int argc, char** argv) {
     if (!fault_spec.empty())
       injector = std::make_unique<fault::FaultInjector>(
           fault::parse_fault_spec(fault_spec));
-    if (memory_factor > 1)
-      return symmetric
-                 ? dist::distributed_cholesky_25d(input, distribution, config,
-                                                  recorder, injector.get())
-                 : dist::distributed_lu_25d(input, distribution, config,
-                                            recorder, injector.get());
-    return symmetric ? dist::distributed_cholesky(input, *base, config,
-                                                  recorder, injector.get())
-                     : dist::distributed_lu(input, *base, config, recorder,
-                                            injector.get());
+    return symmetric
+               ? dist::distributed_cholesky_25d(input, distribution, config,
+                                                recorder, injector.get())
+               : dist::distributed_lu_25d(input, distribution, config,
+                                          recorder, injector.get());
   };
 
   obs::Recorder recorder;
@@ -754,12 +735,8 @@ int cmd_run(int argc, char** argv) {
     for (std::int64_t j = 0; j < (symmetric ? i + 1 : t); ++j)
       if (distribution.owner(i, j) != 0) ++gather_messages;
   const std::int64_t predicted =
-      memory_factor > 1
-          ? (symmetric ? core::exact_cholesky_messages_25d(distribution, t,
-                                                           config)
-                       : core::exact_lu_messages_25d(distribution, t, config))
-          : (symmetric ? core::exact_cholesky_messages(*base, t, config)
-                       : core::exact_lu_messages(*base, t, config));
+      symmetric ? core::exact_cholesky_messages_25d(distribution, t, config)
+                : core::exact_lu_messages_25d(distribution, t, config);
   const std::int64_t sent = result.report.total_messages() - gather_messages;
   const std::int64_t consumed =
       result.report.total_messages_received() - gather_messages;
