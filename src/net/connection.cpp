@@ -58,14 +58,23 @@ bool Connection::flush() {
 bool Connection::read_frames(
     const std::function<void(std::string_view)>& on_frame) {
   char chunk[64 * 1024];
+  // A peer's last frames and its EOF often arrive in one readable event;
+  // the frames already read are delivered before the EOF is reported, or
+  // an orderly exit right after a send (process 0's gather result) would
+  // lose that send.
+  bool open = true;
   while (true) {
     const ssize_t got = read(fd_, chunk, sizeof chunk);
     if (got < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      return false;
+      open = false;
+      break;
     }
-    if (got == 0) return false;  // EOF
+    if (got == 0) {  // EOF
+      open = false;
+      break;
+    }
     read_buffer_.append(chunk, static_cast<std::size_t>(got));
   }
   std::size_t consumed = 0;
@@ -81,7 +90,7 @@ bool Connection::read_frames(
     consumed += sizeof length + length;
   }
   if (consumed > 0) read_buffer_.erase(0, consumed);
-  return true;
+  return open;
 }
 
 bool Connection::wants_write() {

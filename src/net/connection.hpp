@@ -42,8 +42,9 @@ class Connection {
   bool flush();
 
   /// Reads and reassembles frames, invoking `on_frame` with each complete
-  /// frame body (length prefix stripped).  Returns false on EOF or error.
-  /// Throws std::runtime_error on a malformed stream.
+  /// frame body (length prefix stripped).  Returns false on EOF or error,
+  /// after delivering every complete frame read before it.  Throws
+  /// std::runtime_error on a malformed stream.
   bool read_frames(const std::function<void(std::string_view)>& on_frame);
 
   [[nodiscard]] bool wants_write();

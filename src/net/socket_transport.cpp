@@ -181,6 +181,7 @@ SocketTransport::SocketTransport(const SocketTransportConfig& config)
     local_[static_cast<std::size_t>(rank)] = 1;
   peers_.resize(static_cast<std::size_t>(config_.process_count));
   blob_queues_.resize(static_cast<std::size_t>(config_.process_count));
+  lost_.resize(static_cast<std::size_t>(config_.process_count));
 
   if (config_.process_count == 1) return;  // mesh of one: no sockets
 
@@ -291,7 +292,11 @@ void SocketTransport::post(int process, std::string frame) {
   if (connection == nullptr)
     throw std::logic_error("net: no connection to process " +
                            std::to_string(process));
-  connection->enqueue(std::move(frame));
+  try {
+    connection->enqueue(std::move(frame));
+  } catch (const std::runtime_error& error) {  // the connection has failed
+    throw PeerLostError(process, error.what());
+  }
   loop_.wake();
 }
 
@@ -335,11 +340,12 @@ void SocketTransport::barrier() {
     if (p != config_.process_index) post(p, marker);
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, [&] {
-    return !dead_reason_.empty() ||
+    return first_lost_ >= 0 ||
            barrier_arrivals_[generation] == config_.process_count - 1;
   });
   if (barrier_arrivals_[generation] != config_.process_count - 1)
-    throw std::runtime_error("net: barrier failed: " + dead_reason_);
+    throw PeerLostError(first_lost_, "net: barrier failed: " +
+                                         lost_reason_locked(first_lost_));
   barrier_arrivals_.erase(generation);
 }
 
@@ -354,9 +360,10 @@ std::vector<std::string> SocketTransport::gather_blobs(
       std::unique_lock<std::mutex> lock(mutex_);
       for (int p = 1; p < config_.process_count; ++p) {
         auto& queue = blob_queues_[static_cast<std::size_t>(p)];
-        cv_.wait(lock, [&] { return !dead_reason_.empty() || !queue.empty(); });
+        cv_.wait(lock, [&] { return !queue.empty() || lost_locked(p); });
         if (queue.empty())
-          throw std::runtime_error("net: gather failed: " + dead_reason_);
+          throw PeerLostError(p, "net: gather failed: " +
+                                     lost_reason_locked(p));
         all[static_cast<std::size_t>(p)] = std::move(queue.front());
         queue.pop_front();
       }
@@ -365,12 +372,16 @@ std::vector<std::string> SocketTransport::gather_blobs(
     for (int p = 1; p < config_.process_count; ++p) post(p, assembled);
     return all;
   }
+  // Only process 0 takes part in a non-root gather: every other peer may
+  // finish its own gather and exit first, and its orderly EOF must not
+  // abort this one.  Process 0 queues the result before it closes, and the
+  // connection is FIFO, so its loss with no result queued is a real
+  // failure.
   post(0, encode_blob(config_.process_index, local));
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock,
-           [&] { return !dead_reason_.empty() || !blob_results_.empty(); });
+  cv_.wait(lock, [&] { return !blob_results_.empty() || lost_locked(0); });
   if (blob_results_.empty())
-    throw std::runtime_error("net: gather failed: " + dead_reason_);
+    throw PeerLostError(0, "net: gather failed: " + lost_reason_locked(0));
   std::vector<std::string> result = std::move(blob_results_.front());
   blob_results_.pop_front();
   return result;
@@ -455,9 +466,22 @@ void SocketTransport::peer_lost(int process, const std::string& reason) {
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (dead_reason_.empty()) dead_reason_ = reason;
+    std::string& lost = lost_[static_cast<std::size_t>(process)];
+    if (lost.empty()) lost = reason;
+    if (first_lost_ < 0) first_lost_ = process;
   }
   cv_.notify_all();
 }
+
+bool SocketTransport::lost_locked(int process) const {
+  return !lost_[static_cast<std::size_t>(process)].empty();
+}
+
+const std::string& SocketTransport::lost_reason_locked(int process) const {
+  return lost_[static_cast<std::size_t>(process)];
+}
+
+PeerLostError::PeerLostError(int process, const std::string& what)
+    : std::runtime_error(what), process_(process) {}
 
 }  // namespace anyblock::net

@@ -20,8 +20,10 @@
 // through process 0 (kBlob up, kBlobAll down).
 //
 // A vanished peer fails its connection, records a reason, and wakes every
-// blocked collective; the error surfaces as std::runtime_error from the
-// next send/barrier/gather instead of a hang.
+// blocked collective.  A collective that needs the lost peer throws
+// PeerLostError instead of hanging: a barrier needs every peer, the gather
+// root every peer, a non-root gather only process 0 (so peers that finish
+// and exit first cannot abort it).
 #pragma once
 
 #include <condition_variable>
@@ -31,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +60,18 @@ struct SocketTransportConfig {
 /// launcher so every process derives the same placement independently.
 std::vector<int> ranks_of_process(int world_size, int process_count,
                                   int process);
+
+/// A collective could not complete because a peer process it needs
+/// disconnected or failed.
+class PeerLostError : public std::runtime_error {
+ public:
+  PeerLostError(int process, const std::string& what);
+  /// The lost peer's process index.
+  [[nodiscard]] int process() const { return process_; }
+
+ private:
+  int process_;
+};
 
 class SocketTransport final : public vmpi::Transport {
  public:
@@ -101,6 +116,8 @@ class SocketTransport final : public vmpi::Transport {
   void dispatch(Frame&& frame);
   void deliver(vmpi::WireMessage&& message);
   void peer_lost(int process, const std::string& reason);
+  [[nodiscard]] bool lost_locked(int process) const;
+  [[nodiscard]] const std::string& lost_reason_locked(int process) const;
 
   SocketTransportConfig config_;
   std::vector<int> local_ranks_;
@@ -121,7 +138,8 @@ class SocketTransport final : public vmpi::Transport {
   std::map<std::uint64_t, int> barrier_arrivals_;
   std::vector<std::deque<std::string>> blob_queues_;   ///< process 0 only
   std::deque<std::vector<std::string>> blob_results_;  ///< processes != 0
-  std::string dead_reason_;  ///< non-empty once any peer vanished
+  std::vector<std::string> lost_;  ///< per process: why it vanished, or ""
+  int first_lost_ = -1;            ///< first vanished process, if any
 };
 
 }  // namespace anyblock::net

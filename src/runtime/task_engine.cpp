@@ -47,7 +47,9 @@ HandleId TaskEngine::register_data() {
 }
 
 void TaskEngine::add_edge_locked(std::int64_t pred, std::int64_t succ) {
-  if (pred < 0 || done_[static_cast<std::size_t>(pred)]) return;
+  if (pred < 0) return;
+  ++stats_.inferred_edges;
+  if (done_[static_cast<std::size_t>(pred)]) return;
   tasks_[static_cast<std::size_t>(pred)].successors.push_back(succ);
   ++tasks_[static_cast<std::size_t>(succ)].deps_remaining;
   ++stats_.dependency_edges;

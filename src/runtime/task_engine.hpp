@@ -38,6 +38,13 @@ struct EngineStats {
   std::int64_t tasks_executed = 0;
   /// Of those, tasks whose body threw (their successors still ran).
   std::int64_t tasks_failed = 0;
+  /// Dependency edges the declared accesses imply (RAW, WAR, WAW), counted
+  /// at submit whether or not the predecessor has finished: a property of
+  /// the submitted task graph alone, identical on every run.
+  std::int64_t inferred_edges = 0;
+  /// Of those, the edges wired to a predecessor still in flight.  An edge
+  /// whose predecessor already finished is satisfied at submit and skipped,
+  /// so this count depends on thread timing.
   std::int64_t dependency_edges = 0;
   /// Largest number of tasks simultaneously running.
   std::int64_t peak_concurrency = 0;
@@ -125,7 +132,8 @@ class TaskEngine {
 
   void worker_loop(int worker_index);
   void make_ready_locked(std::int64_t task_id);
-  /// Adds an edge pred -> succ unless pred already retired.
+  /// Counts the inferred edge pred -> succ and wires it unless pred
+  /// already retired.
   void add_edge_locked(std::int64_t pred, std::int64_t succ);
 
   mutable std::mutex mutex_;

@@ -1,9 +1,16 @@
 #include "net/frame.hpp"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <vector>
+
+#include "net/connection.hpp"
 
 namespace anyblock::net {
 namespace {
@@ -98,6 +105,31 @@ TEST(Frame, DataCountBeyondBodyThrows) {
   const std::uint64_t bogus = 1u << 20;
   std::memcpy(corrupted.data() + count_offset, &bogus, sizeof bogus);
   EXPECT_THROW(decode_frame(corrupted), std::runtime_error);
+}
+
+TEST(Connection, DeliversFramesThatArriveTogetherWithEof) {
+  // A peer that sends its last frames and exits at once: the frames and
+  // the EOF land in one read pass, and every frame must still come out
+  // before the connection reports the peer gone.
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string bytes =
+      encode_blob_all({"zero", "one", "two"}) + encode_barrier(3);
+  ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  close(fds[1]);
+  ASSERT_EQ(fcntl(fds[0], F_SETFL, fcntl(fds[0], F_GETFL) | O_NONBLOCK), 0);
+  Connection reader(fds[0], 1 << 20);
+  std::vector<Frame> frames;
+  const bool open = reader.read_frames([&](std::string_view body) {
+    frames.push_back(decode_frame(body));
+  });
+  EXPECT_FALSE(open);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, FrameType::kBlobAll);
+  EXPECT_EQ(frames[0].blobs.size(), 3u);
+  EXPECT_EQ(frames[1].type, FrameType::kBarrier);
+  EXPECT_EQ(frames[1].generation, 3u);
 }
 
 }  // namespace

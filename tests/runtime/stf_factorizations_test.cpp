@@ -99,12 +99,23 @@ TEST(StfFactorizations, SubmitsTheFullTaskGraph) {
   TaskEngine engine(4);
   ASSERT_TRUE(stf_lu_nopiv(engine, a));
   std::int64_t expected_tasks = 0;
+  std::int64_t expected_edges = 0;
   for (std::int64_t l = 0; l < t; ++l) {
     const std::int64_t k = t - 1 - l;
     expected_tasks += 1 + 2 * k + k * k;
+    // Every task of iteration l > 0 follows the previous writer of its
+    // tile; each TRSM reads the diagonal tile and each GEMM two panel
+    // tiles.  Finalized tiles are never written again, so there are no
+    // WAR edges.
+    const std::int64_t chain = l > 0 ? 1 : 0;
+    expected_edges += chain + 2 * k * (1 + chain) + k * k * (2 + chain);
   }
   EXPECT_EQ(engine.stats().tasks_executed, expected_tasks);
-  EXPECT_GT(engine.stats().dependency_edges, expected_tasks);
+  // The inferred edges are a property of the DAG; the live ones also
+  // depend on which predecessors had finished at submit time.
+  EXPECT_EQ(engine.stats().inferred_edges, expected_edges);
+  EXPECT_GT(engine.stats().inferred_edges, expected_tasks);
+  EXPECT_LE(engine.stats().dependency_edges, engine.stats().inferred_edges);
 }
 
 }  // namespace

@@ -212,10 +212,12 @@ TEST(TaskEngine, DependencyEdgeCountIsAccurate) {
   engine.submit([] {}, {{h, AccessMode::kWrite}});
   engine.submit([] {}, {{h, AccessMode::kRead}});   // 1 RAW edge
   engine.submit([] {}, {{h, AccessMode::kRead}});   // 1 RAW edge
-  engine.submit([] {}, {{h, AccessMode::kWrite}});  // 2 WAR (+0 WAW: cleared)
+  engine.submit([] {}, {{h, AccessMode::kWrite}});  // 1 WAW + 2 WAR
   engine.wait_all();
-  // Edges actually added may be fewer if predecessors already retired; at
-  // most 5, and the computation is correct regardless.
+  // All 5 are inferred on every run; the edges actually wired may be fewer
+  // if predecessors already retired, and the computation is correct
+  // regardless.
+  EXPECT_EQ(engine.stats().inferred_edges, 5);
   EXPECT_LE(engine.stats().dependency_edges, 5);
 }
 
