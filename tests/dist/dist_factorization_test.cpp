@@ -26,6 +26,10 @@ struct LuCase {
   std::int64_t t;
 };
 
+// gtest lists a parameter by its raw bytes unless told otherwise, and those
+// bytes hold pointers, so the ctest name would change with every build.
+void PrintTo(const LuCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributedLuTest : public ::testing::TestWithParam<LuCase> {};
 
 TEST_P(DistributedLuTest, ResidualAndMessageCount) {

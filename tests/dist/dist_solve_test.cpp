@@ -34,6 +34,10 @@ struct SolveCase {
   std::int64_t t;
 };
 
+// gtest lists a parameter by its raw bytes unless told otherwise, and those
+// bytes hold pointers, so the ctest name would change with every build.
+void PrintTo(const SolveCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributedLuSolveTest : public ::testing::TestWithParam<SolveCase> {};
 
 TEST_P(DistributedLuSolveTest, SolvesTheSystem) {
