@@ -2,10 +2,18 @@
 //
 // All kernels operate on row-major nb x nb tiles passed as spans; each call
 // corresponds to exactly one task in the task-based execution model
-// (GETRF/TRSM/GEMM for LU; POTRF/TRSM/SYRK/GEMM for Cholesky).  These are
-// straightforward loop nests — the library's results depend on the task and
-// communication structure, not on BLAS micro-optimization (the paper uses
-// MKL; see DESIGN.md substitutions).
+// (GETRF/TRSM/GEMM for LU; POTRF/TRSM/SYRK/GEMM for Cholesky).  The paper
+// uses MKL (see DESIGN.md substitutions).
+//
+// The three trailing updates (gemm_update, gemm_update_trans_b and
+// syrk_update_lower), which carry most of a factorization's flops, are
+// register-blocked vector code built for AVX-512F, AVX2 and baseline x86-64
+// and picked by the CPU at load time.  Their results are bit-identical to
+// the plain loop nests on every variant: each element of C sees the same
+// rounded products, added or subtracted in the same order (documented per
+// kernel below).  Distributed, task-based and sequential factorizations
+// therefore agree bit for bit on any host.  The other kernels are plain
+// loop nests.
 #pragma once
 
 #include <cstdint>
@@ -18,16 +26,20 @@ void gemm(double alpha, std::span<const double> a, bool trans_a,
           std::span<const double> b, bool trans_b, double beta,
           std::span<double> c, std::int64_t nb);
 
-/// C := C - A * B (the LU trailing update).
+/// C := C - A * B (the LU trailing update).  Per element: k ascending,
+/// c -= a_ik * b_kj.
 void gemm_update(std::span<const double> a, std::span<const double> b,
                  std::span<double> c, std::int64_t nb);
 
-/// C := C - A * B^T (the Cholesky trailing update).
+/// C := C - A * B^T (the Cholesky trailing update).  Per element: the dot
+/// product of row i of A and row j of B summed from 0.0 in k order, then
+/// one subtract.
 void gemm_update_trans_b(std::span<const double> a, std::span<const double> b,
                          std::span<double> c, std::int64_t nb);
 
 /// C := C - A * A^T on the lower triangle only (SYRK, Cholesky diagonal
-/// update).  The strict upper triangle of C is left untouched.
+/// update), per element as gemm_update_trans_b.  The strict upper triangle
+/// of C is left untouched.
 void syrk_update_lower(std::span<const double> a, std::span<double> c,
                        std::int64_t nb);
 

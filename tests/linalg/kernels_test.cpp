@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
 #include "linalg/generators.hpp"
+#include "linalg/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace anyblock::linalg {
@@ -226,6 +231,186 @@ TEST(Kernels, TrsmRightLowerTransSolves) {
   for (std::int64_t i = 0; i < kNb; ++i)
     for (std::int64_t j = 0; j < kNb; ++j)
       EXPECT_NEAR(xlt(i, j), b0(i, j), 1e-10);
+}
+
+using UpdateKernel = void (*)(std::span<const double>, std::span<const double>,
+                             std::span<double>, std::int64_t);
+using SyrkKernel = void (*)(std::span<const double>, std::span<double>,
+                            std::int64_t);
+
+/// One ISA variant of the vectorized kernels.
+struct Variant {
+  std::string isa;
+  UpdateKernel gemm_update;
+  UpdateKernel gemm_update_trans_b;
+  SyrkKernel syrk_update_lower;
+};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// target_clones builds each vectorized kernel once per ISA, and the loader
+// binds the kernel's name to the widest variant the CPU has.  GCC also emits
+// one resolver per kernel that picks a variant from libgcc's CPU feature
+// bits; called with bits masked off, it returns the narrower variants, so
+// the test can run every variant the host can execute, not only the bound
+// one.  The resolvers are named after the Itanium-mangled kernel names.
+extern "C" {
+struct CpuModel {
+  unsigned vendor;
+  unsigned type;
+  unsigned subtype;
+  unsigned features[1];
+};
+extern CpuModel __cpu_model;  // libgcc's, read by every resolver
+}
+extern "C" UpdateKernel gemm_update_resolver() __asm__(
+    "_ZN8anyblock6linalg11gemm_updateESt4spanIKdLm18446744073709551615EES3_"
+    "S1_IdLm18446744073709551615EEl.resolver");
+extern "C" UpdateKernel gemm_update_trans_b_resolver() __asm__(
+    "_ZN8anyblock6linalg19gemm_update_trans_bESt4spanIKdLm18446744073709551615"
+    "EES3_S1_IdLm18446744073709551615EEl.resolver");
+extern "C" SyrkKernel syrk_update_lower_resolver() __asm__(
+    "_ZN8anyblock6linalg17syrk_update_lowerESt4spanIKdLm18446744073709551615EE"
+    "S1_IdLm18446744073709551615EEl.resolver");
+
+// Bit positions of FEATURE_AVX2 and FEATURE_AVX512F in libgcc's
+// enum processor_features; the test checks them against
+// __builtin_cpu_supports before relying on them.
+constexpr unsigned kAvx2 = 1u << 10;
+constexpr unsigned kAvx512f = 1u << 15;
+
+std::vector<Variant> host_variants() {
+  __builtin_cpu_init();
+  const bool avx512f = __builtin_cpu_supports("avx512f") != 0;
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  const unsigned features = __cpu_model.features[0];
+  EXPECT_EQ((features & kAvx512f) != 0, avx512f) << "libgcc layout changed";
+  EXPECT_EQ((features & kAvx2) != 0, avx2) << "libgcc layout changed";
+  std::vector<Variant> out;
+  const auto resolve = [&](const char* isa, unsigned mask) {
+    __cpu_model.features[0] = features & mask;
+    out.push_back({isa, gemm_update_resolver(), gemm_update_trans_b_resolver(),
+                   syrk_update_lower_resolver()});
+  };
+  if (avx512f) resolve("avx512f", ~0u);
+  if (avx2) resolve("avx2", ~kAvx512f);
+  resolve("default", ~(kAvx512f | kAvx2));
+  __cpu_model.features[0] = features;
+  return out;
+}
+#else
+std::vector<Variant> host_variants() {
+  return {{"portable", &gemm_update, &gemm_update_trans_b, &syrk_update_lower}};
+}
+#endif
+
+/// The variants, checked to be distinct code and announced once.
+const std::vector<Variant>& variants() {
+  static const std::vector<Variant> found = [] {
+    std::vector<Variant> v = host_variants();
+    std::set<UpdateKernel> distinct;
+    std::string names;
+    for (const Variant& variant : v) {
+      distinct.insert(variant.gemm_update);
+      names += (names.empty() ? "" : " ") + variant.isa;
+    }
+    EXPECT_EQ(distinct.size(), v.size()) << "variants resolve to one body";
+    std::printf("[ variants ] %s\n", names.c_str());
+    ::testing::Test::RecordProperty("isa_variants", names);
+    return v;
+  }();
+  return found;
+}
+
+const std::vector<std::int64_t> kOracleSizes = {1, 7, 16, 17, 96, 128, 256};
+
+/// Random [-1, 1] entries with every third one +0.0 and every third -0.0.
+std::vector<double> signed_zero_tile(Rng& rng, std::int64_t nb) {
+  auto tile = random_tile(rng, nb);
+  for (std::size_t e = 0; e < tile.size(); ++e)
+    if (e % 3 != 2) tile[e] = e % 3 == 0 ? 0.0 : -0.0;
+  return tile;
+}
+
+/// Input tiles {a, b, c}: random, then with exact and signed zeros.
+std::vector<std::vector<std::vector<double>>> oracle_inputs(std::int64_t nb) {
+  Rng rng(static_cast<std::uint64_t>(100 + nb));
+  std::vector<std::vector<std::vector<double>>> inputs;
+  inputs.push_back({random_tile(rng, nb), random_tile(rng, nb),
+                    random_tile(rng, nb)});
+  inputs.push_back({signed_zero_tile(rng, nb), random_tile(rng, nb),
+                    signed_zero_tile(rng, nb)});
+  inputs.push_back({random_tile(rng, nb), signed_zero_tile(rng, nb),
+                    signed_zero_tile(rng, nb)});
+  return inputs;
+}
+
+void expect_bit_identical(const std::vector<double>& got,
+                          const std::vector<double>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  if (std::memcmp(got.data(), expected.data(),
+                  got.size() * sizeof(double)) == 0)
+    return;
+  std::size_t e = 0;
+  while (std::memcmp(&got[e], &expected[e], sizeof(double)) == 0) ++e;
+  ADD_FAILURE() << "first differing element " << e << ": " << got[e]
+                << " vs " << expected[e];
+}
+
+TEST(KernelOracle, GemmUpdateBitIdenticalOnEveryVariant) {
+  for (const Variant& variant : variants())
+    for (const std::int64_t nb : kOracleSizes)
+      for (const auto& in : oracle_inputs(nb)) {
+        SCOPED_TRACE(variant.isa + " nb=" + std::to_string(nb));
+        auto expected = in[2];
+        oracle::gemm_update(in[0], in[1], expected, nb);
+        auto got = in[2];
+        variant.gemm_update(in[0], in[1], got, nb);
+        expect_bit_identical(got, expected);
+      }
+}
+
+TEST(KernelOracle, GemmUpdateTransBBitIdenticalOnEveryVariant) {
+  for (const Variant& variant : variants())
+    for (const std::int64_t nb : kOracleSizes)
+      for (const auto& in : oracle_inputs(nb)) {
+        SCOPED_TRACE(variant.isa + " nb=" + std::to_string(nb));
+        auto expected = in[2];
+        oracle::gemm_update_trans_b(in[0], in[1], expected, nb);
+        auto got = in[2];
+        variant.gemm_update_trans_b(in[0], in[1], got, nb);
+        expect_bit_identical(got, expected);
+      }
+}
+
+TEST(KernelOracle, SyrkUpdateLowerBitIdenticalOnEveryVariant) {
+  for (const Variant& variant : variants())
+    for (const std::int64_t nb : kOracleSizes)
+      for (const auto& in : oracle_inputs(nb))
+        for (const auto& a : {in[0], in[1]}) {
+          SCOPED_TRACE(variant.isa + " nb=" + std::to_string(nb));
+          auto expected = in[2];
+          oracle::syrk_update_lower(a, expected, nb);
+          auto got = in[2];
+          variant.syrk_update_lower(a, got, nb);
+          expect_bit_identical(got, expected);
+        }
+}
+
+TEST(KernelOracle, PublicNamesAreBitIdentical) {
+  // Whichever variant the loader bound.
+  for (const std::int64_t nb : kOracleSizes)
+    for (const auto& in : oracle_inputs(nb)) {
+      SCOPED_TRACE("nb=" + std::to_string(nb));
+      auto expected = in[2];
+      oracle::gemm_update(in[0], in[1], expected, nb);
+      oracle::gemm_update_trans_b(in[0], in[1], expected, nb);
+      oracle::syrk_update_lower(in[0], expected, nb);
+      auto got = in[2];
+      gemm_update(in[0], in[1], got, nb);
+      gemm_update_trans_b(in[0], in[1], got, nb);
+      syrk_update_lower(in[0], got, nb);
+      expect_bit_identical(got, expected);
+    }
 }
 
 TEST(Kernels, FlopCountsScaleCubically) {
