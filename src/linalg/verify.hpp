@@ -15,9 +15,4 @@ double lu_residual(const DenseMatrix& original, const TiledMatrix& factored);
 double cholesky_residual(const DenseMatrix& original,
                          const TiledMatrix& factored);
 
-/// Extracts the unit-lower / upper factors from a packed L\U matrix.
-DenseMatrix extract_unit_lower(const TiledMatrix& factored);
-DenseMatrix extract_upper(const TiledMatrix& factored);
-DenseMatrix extract_lower(const TiledMatrix& factored);
-
 }  // namespace anyblock::linalg
