@@ -13,13 +13,16 @@
 //   anyblock precompute --max-p 10000 --table data/gcrm_winners.tsv
 //
 // Each subcommand accepts --help.  CSV/structured output goes to stdout.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/config.hpp"
@@ -622,6 +625,25 @@ int cmd_simulate(int argc, char** argv) {
   return 0;
 }
 
+/// The first element, in tile order, where two factors differ under `!=`
+/// (so a NaN never matches), as (row, column); lower tiles only with
+/// `lower_only`.  nullopt when they agree.
+std::optional<std::pair<std::int64_t, std::int64_t>> first_difference(
+    const linalg::TiledMatrix& a, const linalg::TiledMatrix& b,
+    bool lower_only) {
+  const std::int64_t nb = a.tile_size();
+  for (std::int64_t i = 0; i < a.tiles(); ++i)
+    for (std::int64_t j = 0; j < (lower_only ? i + 1 : a.tiles()); ++j) {
+      const auto x = a.tile(i, j);
+      const auto y = b.tile(i, j);
+      const auto diff = std::mismatch(x.begin(), x.end(), y.begin()).first;
+      if (diff == x.end()) continue;
+      const std::int64_t e = diff - x.begin();
+      return std::pair{i * nb + e / nb, j * nb + e % nb};
+    }
+  return std::nullopt;
+}
+
 int cmd_run(int argc, char** argv) {
   ArgParser parser("anyblock run",
                    "run a real distributed factorization over vmpi and "
@@ -752,13 +774,14 @@ int cmd_run(int argc, char** argv) {
 
   // Only the process hosting rank 0 holds the gathered factor.
   const bool root = transport == nullptr || transport->is_local(0);
+  const double residual =
+      !root ? 0.0
+      : symmetric ? linalg::cholesky_residual(original, result.factored)
+                  : linalg::lu_residual(original, result.factored);
   if (root && memory_factor > 1) {
     // c > 1 sums trailing updates layer by layer, so the factor is not
     // bit-comparable to the sequential reference; the residual (and
     // --crosscheck's deterministic re-run) stand in for the bit test.
-    const double residual =
-        symmetric ? linalg::cholesky_residual(original, result.factored)
-                  : linalg::lu_residual(original, result.factored);
     if (!(residual < 1e-10)) {
       std::fprintf(stderr, "run: residual %.3e exceeds the 1e-10 gate\n",
                    residual);
@@ -772,34 +795,28 @@ int cmd_run(int argc, char** argv) {
     if (!sequential_ok) {
       std::fprintf(stderr, "run: sequential reference failed\n");
       failed = true;
-    } else {
-      for (std::int64_t i = 0; i < sequential.dim() && !failed; ++i)
-        for (std::int64_t j = 0; j < (symmetric ? i + 1 : sequential.dim());
-             ++j)
-          if (result.factored.at(i, j) != sequential.at(i, j)) {
-            std::fprintf(stderr,
-                         "run: factor differs from the sequential reference "
-                         "at (%lld, %lld)\n",
-                         static_cast<long long>(i), static_cast<long long>(j));
-            failed = true;
-            break;
-          }
+    } else if (const auto at =
+                   first_difference(result.factored, sequential, symmetric)) {
+      std::fprintf(stderr,
+                   "run: factor differs from the sequential reference at "
+                   "(%lld, %lld)\n",
+                   static_cast<long long>(at->first),
+                   static_cast<long long>(at->second));
+      failed = true;
     }
   }
 
   if (parser.get_flag("crosscheck") && root && !failed) {
     const vmpi::ScopedTransport inproc(nullptr);
     const dist::DistRunResult again = run_once(nullptr);
-    for (std::int64_t i = 0; i < result.factored.dim() && !failed; ++i)
-      for (std::int64_t j = 0;
-           j < (symmetric ? i + 1 : result.factored.dim()); ++j)
-        if (result.factored.at(i, j) != again.factored.at(i, j)) {
-          std::fprintf(stderr,
-                       "run: crosscheck factor mismatch at (%lld, %lld)\n",
-                       static_cast<long long>(i), static_cast<long long>(j));
-          failed = true;
-          break;
-        }
+    if (const auto at =
+            first_difference(result.factored, again.factored, symmetric)) {
+      std::fprintf(stderr,
+                   "run: crosscheck factor mismatch at (%lld, %lld)\n",
+                   static_cast<long long>(at->first),
+                   static_cast<long long>(at->second));
+      failed = true;
+    }
     for (std::size_t r = 0; r < result.report.per_rank.size(); ++r) {
       if (result.report.per_rank[r].messages_sent ==
               again.report.per_rank[r].messages_sent &&
@@ -834,10 +851,7 @@ int cmd_run(int argc, char** argv) {
               static_cast<long long>(gather_messages),
               static_cast<long long>(predicted));
   if (root)
-    std::printf("  residual    %.3e (%s)\n",
-                symmetric
-                    ? linalg::cholesky_residual(original, result.factored)
-                    : linalg::lu_residual(original, result.factored),
+    std::printf("  residual    %.3e (%s)\n", residual,
                 memory_factor > 1
                     ? "layer-ordered sums; verified against the 1e-10 gate"
                     : "factor bit-identical to the sequential reference");
