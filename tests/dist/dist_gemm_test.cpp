@@ -33,6 +33,10 @@ struct GemmCase {
   std::int64_t k;
 };
 
+// gtest lists a parameter by its raw bytes unless told otherwise, and those
+// bytes hold pointers, so the ctest name would change with every build.
+void PrintTo(const GemmCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributedGemmTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(DistributedGemmTest, MatchesSequentialAndMessageCount) {

@@ -32,6 +32,10 @@ struct SyrkCase {
   std::int64_t k;
 };
 
+// gtest lists a parameter by its raw bytes unless told otherwise, and those
+// bytes hold pointers, so the ctest name would change with every build.
+void PrintTo(const SyrkCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributedSyrkTest : public ::testing::TestWithParam<SyrkCase> {};
 
 TEST_P(DistributedSyrkTest, MatchesSequentialAndMessageCount) {
