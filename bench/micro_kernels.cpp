@@ -3,6 +3,7 @@
 // against these numbers for any host.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "linalg/kernels.hpp"
@@ -33,6 +34,13 @@ std::vector<double> spd_tile(std::int64_t nb, std::uint64_t seed) {
   return data;
 }
 
+/// Reports the GFlop/s of `flops` per iteration.
+void set_gflops(benchmark::State& state, double flops) {
+  state.counters["GFlops"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 void BM_GemmUpdate(benchmark::State& state) {
   const std::int64_t nb = state.range(0);
   const auto a = tile(nb, 1);
@@ -42,9 +50,7 @@ void BM_GemmUpdate(benchmark::State& state) {
     linalg::gemm_update(a, b, c, nb);
     benchmark::DoNotOptimize(c.data());
   }
-  state.counters["GFlops"] = benchmark::Counter(
-      linalg::gemm_flops(nb) * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  set_gflops(state, linalg::gemm_flops(nb));
 }
 BENCHMARK(BM_GemmUpdate)->Arg(64)->Arg(128)->Arg(256);
 
@@ -56,11 +62,14 @@ void BM_SyrkUpdate(benchmark::State& state) {
     linalg::syrk_update_lower(a, c, nb);
     benchmark::DoNotOptimize(c.data());
   }
-  state.counters["GFlops"] = benchmark::Counter(
-      linalg::syrk_flops(nb) * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  set_gflops(state, linalg::syrk_flops(nb));
 }
 BENCHMARK(BM_SyrkUpdate)->Arg(64)->Arg(128)->Arg(256);
+
+// The factorizations and solves work in place, so each iteration starts
+// from a fresh copy of its input (the copy is timed too; it is O(nb^2)
+// against the kernel's O(nb^3)).  Solving the same tile again and again
+// would shrink it into denormals and then zeros.
 
 void BM_GetrfNopiv(benchmark::State& state) {
   const std::int64_t nb = state.range(0);
@@ -69,7 +78,9 @@ void BM_GetrfNopiv(benchmark::State& state) {
   for (auto _ : state) {
     work = original;
     benchmark::DoNotOptimize(linalg::getrf_nopiv(work, nb));
+    benchmark::ClobberMemory();
   }
+  set_gflops(state, linalg::getrf_flops(nb));
 }
 BENCHMARK(BM_GetrfNopiv)->Arg(64)->Arg(128)->Arg(256);
 
@@ -80,23 +91,51 @@ void BM_PotrfLower(benchmark::State& state) {
   for (auto _ : state) {
     work = original;
     benchmark::DoNotOptimize(linalg::potrf_lower(work, nb));
+    benchmark::ClobberMemory();
   }
+  set_gflops(state, linalg::potrf_flops(nb));
 }
 BENCHMARK(BM_PotrfLower)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_TrsmRightUpper(benchmark::State& state) {
+using SolveKernel = void (*)(std::span<const double>, std::span<double>,
+                             std::int64_t);
+
+/// Times `solve` with the factor of `factor` applied to a random tile.
+void bench_solve(benchmark::State& state, SolveKernel solve,
+                 bool (*factor)(std::span<double>, std::int64_t),
+                 std::vector<double> a) {
   const std::int64_t nb = state.range(0);
-  auto lu = tile(nb, 8, /*dominant=*/true);
-  linalg::getrf_nopiv(lu, nb);
-  auto b = tile(nb, 9);
-  for (auto _ : state) {
-    linalg::trsm_right_upper(lu, b, nb);
-    benchmark::DoNotOptimize(b.data());
+  if (!factor(a, nb)) {
+    state.SkipWithError("factorization failed");
+    return;
   }
-  state.counters["GFlops"] = benchmark::Counter(
-      linalg::trsm_flops(nb) * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  const auto original = tile(nb, 9);
+  auto b = original;
+  for (auto _ : state) {
+    b = original;
+    solve(a, b, nb);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, linalg::trsm_flops(nb));
+}
+
+void BM_TrsmRightUpper(benchmark::State& state) {
+  bench_solve(state, &linalg::trsm_right_upper, &linalg::getrf_nopiv,
+              tile(state.range(0), 8, /*dominant=*/true));
 }
 BENCHMARK(BM_TrsmRightUpper)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_TrsmLeftLowerUnit(benchmark::State& state) {
+  bench_solve(state, &linalg::trsm_left_lower_unit, &linalg::getrf_nopiv,
+              tile(state.range(0), 8, /*dominant=*/true));
+}
+BENCHMARK(BM_TrsmLeftLowerUnit)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_TrsmRightLowerTrans(benchmark::State& state) {
+  bench_solve(state, &linalg::trsm_right_lower_trans, &linalg::potrf_lower,
+              spd_tile(state.range(0), 10));
+}
+BENCHMARK(BM_TrsmRightLowerTrans)->Arg(64)->Arg(128)->Arg(256);
 
 }  // namespace
