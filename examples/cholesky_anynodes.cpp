@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   const std::int64_t n = parser.get_int("size");
   const std::int64_t t = n / parser.get_int("tile");
 
-  // Offline pattern search (runs once per P; results could live in a
-  // PatternDatabase).
+  // Offline pattern search (runs once per P; `anyblock precompute` records
+  // the winners in data/gcrm_winners.tsv).
   core::GcrmSearchOptions options;
   options.seeds = parser.get_int("seeds");
   Stopwatch search_time;

@@ -115,83 +115,4 @@ Pattern load_pattern_file(const std::string& path) {
   return std::move(*pattern);
 }
 
-void PatternDatabase::put(std::int64_t P, Kind kind, Pattern pattern) {
-  entries_.insert_or_assign({P, static_cast<int>(kind)}, std::move(pattern));
-}
-
-std::optional<Pattern> PatternDatabase::get(std::int64_t P, Kind kind) const {
-  const auto it = entries_.find({P, static_cast<int>(kind)});
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-void PatternDatabase::save(std::ostream& out) const {
-  out << "anyblock-pattern-db 1 " << entries_.size() << '\n';
-  for (const auto& [key, pattern] : entries_) {
-    out << "entry " << key.first << ' ' << key.second << '\n'
-        << serialize_pattern(pattern);
-  }
-}
-
-std::string PatternDatabase::load_detail(std::istream& in) {
-  entries_.clear();
-  std::string magic;
-  int version = 0;
-  std::int64_t count = 0;
-  if (!(in >> magic >> version >> count))
-    return "truncated database header";
-  if (magic != "anyblock-pattern-db")
-    return "bad magic '" + magic + "' (expected 'anyblock-pattern-db')";
-  if (version != 1)
-    return "unsupported database version " + std::to_string(version);
-  if (count < 0) return "negative entry count";
-  for (std::int64_t k = 0; k < count; ++k) {
-    std::string tag;
-    std::int64_t P = 0;
-    int kind = 0;
-    if (!(in >> tag >> P >> kind) || tag != "entry") {
-      entries_.clear();
-      return "entry " + std::to_string(k) + ": truncated or bad record header";
-    }
-    if (P <= 0 || kind < 0 || kind > 1) {
-      entries_.clear();
-      return "entry " + std::to_string(k) + ": bad key (P = " +
-             std::to_string(P) + ", kind = " + std::to_string(kind) + ")";
-    }
-    std::string detail;
-    auto pattern = parse_pattern(in, &detail);
-    if (!pattern) {
-      entries_.clear();
-      return "entry " + std::to_string(k) + " (P = " + std::to_string(P) +
-             "): " + detail;
-    }
-    entries_.insert_or_assign({P, kind}, std::move(*pattern));
-  }
-  return {};
-}
-
-bool PatternDatabase::load(std::istream& in) {
-  return load_detail(in).empty();
-}
-
-bool PatternDatabase::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  save(out);
-  return static_cast<bool>(out);
-}
-
-bool PatternDatabase::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return load(in);
-}
-
-void PatternDatabase::load_file_strict(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw PatternIoError(path, "cannot open file");
-  const std::string detail = load_detail(in);
-  if (!detail.empty()) throw PatternIoError(path, detail);
-}
-
 }  // namespace anyblock::core

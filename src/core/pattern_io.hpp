@@ -1,20 +1,21 @@
-// Pattern rendering, serialization, and the pattern database.
+// Pattern rendering and the single-pattern text format.
 //
-// The paper's conclusion suggests shipping "a database containing, for each
-// possible value of P, a very efficient pattern".  PatternDatabase is that
-// database: a text file mapping node counts to precomputed patterns, so the
-// (seconds-long) GCR&M search runs once per P, offline.
+// render_pattern draws a pattern the way the paper's figures do;
+// serialize_pattern / parse_pattern round-trip one pattern through a small
+// text record, which store::PatternStore uses for its entries.  The shipped
+// per-P answers live elsewhere: store::WinnersTable (data/gcrm_winners.tsv)
+// records the GCR&M winner for every node count, and LU needs no table
+// because its G-2DBC answer is closed-form.
 //
 // Parsing is hardened against hostile or damaged input: a truncated,
 // corrupt, or absurdly-sized record raises PatternIoError (naming the
-// offending path and what went wrong) through the strict entry points, and
-// the legacy optional/bool entry points report failure without ever
+// offending path and what went wrong) through load_pattern_file, and the
+// optional-returning parse_pattern overloads report failure without ever
 // crashing or silently misparsing.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -61,35 +62,5 @@ std::optional<Pattern> parse_pattern_string(const std::string& text);
 /// Strict file load of one serialized pattern; throws PatternIoError (with
 /// the offending path) on a missing, truncated, or corrupt file.
 Pattern load_pattern_file(const std::string& path);
-
-/// Keyed store of the best known pattern per (P, kind) pair.
-class PatternDatabase {
- public:
-  enum class Kind { kNonSymmetric, kSymmetric };
-
-  void put(std::int64_t P, Kind kind, Pattern pattern);
-  [[nodiscard]] std::optional<Pattern> get(std::int64_t P, Kind kind) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// Text round-trip: `save` writes every entry, `load` replaces the
-  /// contents; load returns false (leaving the database empty) on parse
-  /// errors.
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
-
-  bool save_file(const std::string& path) const;
-  bool load_file(const std::string& path);
-
-  /// Like load_file, but failures throw PatternIoError naming the path and
-  /// the first malformed record instead of returning false.
-  void load_file_strict(const std::string& path);
-
- private:
-  /// Shared load body; on failure clears the database and returns the
-  /// detail message of the first problem (empty string = success).
-  std::string load_detail(std::istream& in);
-
-  std::map<std::pair<std::int64_t, int>, Pattern> entries_;
-};
 
 }  // namespace anyblock::core

@@ -4,7 +4,7 @@
 // paper's protocol runs Algorithm 1 for every feasible r <= 6*sqrt(P) with
 // 100 seeds and keeps the cheapest balanced pattern.  Patterns depend only
 // on P, never on the matrix, so this search runs once per node count (and
-// its results can be stored in a PatternDatabase).
+// `anyblock precompute` records its winners in store::WinnersTable).
 //
 // The sweep dominates `anyblock precompute` at large P, so it supports a
 // provably result-identical pruned mode (GcrmSearchOptions::prune): pattern

@@ -74,7 +74,7 @@ bool ArgParser::parse(int argc, char** argv) {
       return false;
     }
     if (it->second.is_flag) {
-      it->second.value = "1";
+      it->second.value.emplace("1");
     } else if (inline_value) {
       it->second.value = std::move(inline_value);
     } else if (i + 1 < argc) {

@@ -134,77 +134,5 @@ TEST(PatternIo, LoadPatternFileThrowsWithPath) {
   std::remove(corrupt.c_str());
 }
 
-TEST(PatternIo, DatabaseStrictLoadNamesTheProblem) {
-  const std::string path = ::testing::TempDir() + "/strict_db.txt";
-  {
-    std::ofstream out(path);
-    out << "P 23 nonsym\npattern 2 2 2\n0 1 0 banana\n";
-  }
-  PatternDatabase db;
-  EXPECT_FALSE(db.load_file(path));
-  EXPECT_THROW(db.load_file_strict(path), PatternIoError);
-  EXPECT_EQ(db.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(PatternIo, DatabaseRoundTrip) {
-  PatternDatabase db;
-  db.put(23, PatternDatabase::Kind::kNonSymmetric, make_g2dbc(23));
-  db.put(21, PatternDatabase::Kind::kSymmetric, make_sbc(21));
-  db.put(16, PatternDatabase::Kind::kNonSymmetric, make_2dbc(4, 4));
-  EXPECT_EQ(db.size(), 3u);
-
-  std::stringstream stream;
-  db.save(stream);
-  PatternDatabase loaded;
-  ASSERT_TRUE(loaded.load(stream));
-  EXPECT_EQ(loaded.size(), 3u);
-  const auto g = loaded.get(23, PatternDatabase::Kind::kNonSymmetric);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(*g, make_g2dbc(23));
-  const auto s = loaded.get(21, PatternDatabase::Kind::kSymmetric);
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(*s, make_sbc(21));
-  EXPECT_FALSE(
-      loaded.get(23, PatternDatabase::Kind::kSymmetric).has_value());
-}
-
-TEST(PatternIo, DatabaseKindsAreSeparate) {
-  PatternDatabase db;
-  db.put(21, PatternDatabase::Kind::kNonSymmetric, make_2dbc(7, 3));
-  db.put(21, PatternDatabase::Kind::kSymmetric, make_sbc(21));
-  EXPECT_EQ(db.get(21, PatternDatabase::Kind::kNonSymmetric)->rows(), 7);
-  EXPECT_EQ(db.get(21, PatternDatabase::Kind::kSymmetric)->rows(), 7);
-  EXPECT_NE(*db.get(21, PatternDatabase::Kind::kNonSymmetric),
-            *db.get(21, PatternDatabase::Kind::kSymmetric));
-}
-
-TEST(PatternIo, DatabaseLoadFailureLeavesEmpty) {
-  PatternDatabase db;
-  db.put(5, PatternDatabase::Kind::kNonSymmetric, make_2dbc(5, 1));
-  std::stringstream bad("garbage");
-  EXPECT_FALSE(db.load(bad));
-  EXPECT_EQ(db.size(), 0u);
-}
-
-TEST(PatternIo, DatabaseFileRoundTrip) {
-  PatternDatabase db;
-  db.put(10, PatternDatabase::Kind::kNonSymmetric, make_g2dbc(10));
-  const std::string path = ::testing::TempDir() + "/anyblock_db_test.txt";
-  ASSERT_TRUE(db.save_file(path));
-  PatternDatabase loaded;
-  ASSERT_TRUE(loaded.load_file(path));
-  EXPECT_EQ(loaded.size(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(PatternIo, DatabaseOverwrite) {
-  PatternDatabase db;
-  db.put(4, PatternDatabase::Kind::kNonSymmetric, make_2dbc(4, 1));
-  db.put(4, PatternDatabase::Kind::kNonSymmetric, make_2dbc(2, 2));
-  EXPECT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.get(4, PatternDatabase::Kind::kNonSymmetric)->rows(), 2);
-}
-
 }  // namespace
 }  // namespace anyblock::core

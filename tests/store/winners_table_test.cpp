@@ -7,9 +7,12 @@
 #include <sstream>
 #include <string>
 
+#include "core/bounds.hpp"
 #include "core/cost.hpp"
 #include "core/gcrm.hpp"
 #include "core/pattern_search.hpp"
+#include "core/recommend.hpp"
+#include "serve/recommend_service.hpp"
 
 namespace anyblock::store {
 namespace {
@@ -116,10 +119,9 @@ TEST(WinnersTable, RowsRebuildTheRecordedWinner) {
   }
 }
 
-/// Validates the shipped artifact (data/gcrm_winners.tsv) the way
-/// core/atlas_artifact_test validates the pattern atlas: loadable, rows
-/// rebuild bit-exactly, costs inside the theoretical envelope.  Skips
-/// cleanly when absent (source-only checkout).
+/// Validates the shipped artifact (data/gcrm_winners.tsv): loadable, rows
+/// rebuild bit-exactly, and the recommendations it serves sit inside the
+/// theoretical envelopes.  Skips cleanly when absent (source-only checkout).
 std::string find_artifact() {
   for (const char* prefix : {"", "../", "../../", "/root/repo/"}) {
     const std::string path = std::string(prefix) + "data/gcrm_winners.tsv";
@@ -146,6 +148,37 @@ TEST(WinnersArtifact, ShippedRowsRebuildExactly) {
     ASSERT_TRUE(rebuilt.valid);
     EXPECT_EQ(core::cholesky_cost(rebuilt.pattern), row->cost);
     EXPECT_TRUE(rebuilt.pattern.validate().empty());
+  }
+}
+
+TEST(WinnersArtifact, RecommendationsStayInsideTheEnvelopes) {
+  // Every P in [2, 64], both kernels: LU from the closed form, Cholesky as
+  // the service serves it from the shipped table.
+  const std::string path = find_artifact();
+  if (path.empty()) GTEST_SKIP() << "data/gcrm_winners.tsv not present";
+  serve::ServiceOptions options;
+  options.table_path = path;
+  serve::RecommendService service(options);
+  ASSERT_TRUE(service.table_usable());
+  for (std::int64_t P = 2; P <= 64; ++P) {
+    SCOPED_TRACE(P);
+    const core::Pattern lu =
+        core::recommend_pattern(P, core::Kernel::kLu).pattern;
+    EXPECT_EQ(lu.num_nodes(), P);
+    EXPECT_TRUE(lu.validate().empty());
+    EXPECT_TRUE(lu.is_balanced());
+    EXPECT_LE(core::lu_cost(lu), core::g2dbc_cost_bound(P) + 1e-9);
+
+    const serve::ServedRecommendation served =
+        service.recommend(P, core::Kernel::kCholesky);
+    EXPECT_EQ(served.source, serve::Source::kTable);
+    const core::Pattern& chol = served.rec.pattern;
+    EXPECT_EQ(chol.num_nodes(), P);
+    EXPECT_TRUE(chol.is_square());
+    EXPECT_TRUE(chol.validate().empty());
+    EXPECT_TRUE(chol.is_balanced(1));
+    // Symmetric winners sit at or below the SBC reference, within rounding.
+    EXPECT_LE(core::cholesky_cost(chol), core::sbc_cost_reference(P) + 1.0);
   }
 }
 

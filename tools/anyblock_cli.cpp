@@ -9,7 +9,6 @@
 //   anyblock run        --kernel lu --nodes 23 --tiles 12
 //   anyblock run        --kernel lu --nodes 16 --memory-factor 2 --tiles 12
 //   anyblock launch     --procs 2 -- run --kernel lu --nodes 23
-//   anyblock atlas      --min 2 --max 40 --out atlas.db
 //   anyblock precompute --max-p 10000 --table data/gcrm_winners.tsv
 //
 // Each subcommand accepts --help.  CSV/structured output goes to stdout.
@@ -132,8 +131,9 @@ std::string served_to_json(std::int64_t P, const std::string& kernel,
 }
 
 /// Shared --store/--table wiring for every service-backed command.
-/// (simulate/run already use --workers for compute workers per node, so the
-/// sweep thread count is a separate argument.)
+/// The sweep thread count is a separate argument: recommend takes it as
+/// --workers, while simulate (whose --workers means compute workers per
+/// node) and run (which has no --workers) sweep with every hardware thread.
 void add_service_options(ArgParser& parser) {
   parser.add("store", "",
              "persistent pattern-store manifest (created on first use)");
@@ -907,35 +907,6 @@ int cmd_launch(int argc, char** argv) {
                                parser.get("rendezvous"));
 }
 
-int cmd_atlas(int argc, char** argv) {
-  ArgParser parser("anyblock atlas",
-                   "precompute best patterns for a range of node counts");
-  parser.add("min", "2", "smallest P");
-  parser.add("max", "40", "largest P");
-  parser.add("seeds", "50", "GCR&M search restarts");
-  parser.add("out", "pattern_atlas.db", "output path");
-  if (!parser.parse(argc, argv)) return 1;
-
-  core::PatternDatabase db;
-  core::RecommendOptions options;
-  options.search.seeds = parser.get_int("seeds");
-  for (std::int64_t P = parser.get_int("min"); P <= parser.get_int("max");
-       ++P) {
-    db.put(P, core::PatternDatabase::Kind::kNonSymmetric,
-           core::recommend_pattern(P, core::Kernel::kLu).pattern);
-    db.put(P, core::PatternDatabase::Kind::kSymmetric,
-           core::recommend_pattern(P, core::Kernel::kCholesky, options)
-               .pattern);
-    std::fprintf(stderr, "P=%lld done\n", static_cast<long long>(P));
-  }
-  if (!db.save_file(parser.get("out"))) {
-    std::fprintf(stderr, "cannot write %s\n", parser.get("out").c_str());
-    return 1;
-  }
-  std::printf("%zu patterns -> %s\n", db.size(), parser.get("out").c_str());
-  return 0;
-}
-
 void print_usage() {
   std::puts(
       "anyblock — data distribution schemes for dense factorizations on any\n"
@@ -955,8 +926,7 @@ void print_usage() {
       "  run         run a real distributed factorization over vmpi\n"
       "              (--transport socket spans OS processes;\n"
       "              --memory-factor c runs the 2.5D schedule)\n"
-      "  launch      spawn N processes on this host wired into a socket mesh\n"
-      "  atlas       precompute a pattern database over a range of P\n\n"
+      "  launch      spawn N processes on this host wired into a socket mesh\n\n"
       "run 'anyblock <command> --help' for the command's options");
 }
 
@@ -979,7 +949,6 @@ int main(int argc, char** argv) {
     if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
     if (command == "run") return cmd_run(sub_argc, sub_argv);
     if (command == "launch") return cmd_launch(sub_argc, sub_argv);
-    if (command == "atlas") return cmd_atlas(sub_argc, sub_argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "anyblock %s: %s\n", command.c_str(), e.what());
     return 1;
