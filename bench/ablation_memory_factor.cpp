@@ -68,7 +68,6 @@ Row measure(bool symmetric, std::int64_t c) {
   sim::MachineConfig machine;
   machine.nodes = kNodes;
   machine.workers_per_node = 2;
-  machine.workload_mode = sim::WorkloadMode::kImplicit;
   const sim::SimReport report =
       symmetric ? sim::simulate_cholesky_25d(kTiles, dist, machine)
                 : sim::simulate_lu_25d(kTiles, dist, machine);

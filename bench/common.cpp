@@ -15,8 +15,6 @@ void add_machine_options(ArgParser& parser) {
   parser.add("bandwidth", "12.5", "NIC bandwidth GB/s (100 Gb/s = 12.5)");
   parser.add("latency", "1.5", "one-way latency in microseconds");
   parser.add("tile", "1000", "tile side in matrix elements");
-  parser.add("workload-mode", "auto",
-             "sim task DAG: auto | materialized | implicit");
 }
 
 void add_transport_options(ArgParser& parser) {
@@ -55,10 +53,8 @@ std::string dims(const core::Pattern& pattern) {
 
 sim::SimReport run_candidate(const Candidate& candidate, std::int64_t t,
                              const ArgParser& parser, bool symmetric) {
-  sim::MachineConfig machine =
+  const sim::MachineConfig machine =
       machine_from(parser, candidate.pattern.num_nodes());
-  machine.workload_mode = sim::choose_workload_mode(
-      parser.get("workload-mode"), sim::estimated_task_count(symmetric, t));
   const core::PatternDistribution distribution(candidate.pattern, t,
                                                symmetric, candidate.label);
   return symmetric ? sim::simulate_cholesky(t, distribution, machine)

@@ -5,19 +5,17 @@
 //
 //   micro_sim                          google-benchmark sweeps (as before)
 //   micro_sim --json=BENCH_sim.json    append one trajectory entry: the
-//                                      P = 1024 reference configuration
-//                                      measured for both engines, with
-//                                      events/sec, peak RSS and makespan
+//                                      P = 1024 reference configuration,
+//                                      with events/sec, peak RSS and
+//                                      makespan
 //   micro_sim --json=... --check       same, but exit 1 when events/sec
 //                                      regresses >25% against the last
 //                                      recorded entry (the CI perf smoke)
 //
-// The trajectory entry records the calendar-queue + implicit-DAG engine
-// against the in-process reference: the binary-heap queue over the fully
-// materialized DAG — the seed engine's data structures on today's code.
-// Both simulate the identical trajectory (enforced by the equivalence
-// tests), so events/sec over build+run wall time is a like-for-like
-// throughput comparison.
+// Older entries also carry reference_* fields: the same run on the
+// binary-heap queue over the fully materialized DAG.  The simulator no
+// longer ships either; they are test oracles in tests/sim/oracle/, and
+// ModeEquivalence.* checks that they simulate the identical trajectory.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -32,7 +30,6 @@
 #include "core/block_cyclic.hpp"
 #include "core/g2dbc.hpp"
 #include "sim/engine.hpp"
-#include "sim/workload.hpp"
 #include "util/sysinfo.hpp"
 
 using namespace anyblock;
@@ -47,18 +44,6 @@ sim::MachineConfig machine(std::int64_t nodes) {
   return config;
 }
 
-void BM_BuildLuWorkload(benchmark::State& state) {
-  const std::int64_t t = state.range(0);
-  const auto config = machine(23);
-  const core::PatternDistribution base(core::make_g2dbc(23), t, false);
-  const core::ReplicatedDistribution dist = core::one_layer(base);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sim::build_lu_workload_25d(t, dist, config));
-  state.counters["tasks"] = static_cast<double>(
-      sim::build_lu_workload_25d(t, dist, config).task_count());
-}
-BENCHMARK(BM_BuildLuWorkload)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
-
 void BM_SimulateLu(benchmark::State& state) {
   const std::int64_t t = state.range(0);
   const auto config = machine(23);
@@ -66,17 +51,7 @@ void BM_SimulateLu(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(sim::simulate_lu(t, dist, config));
 }
-BENCHMARK(BM_SimulateLu)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_SimulateLuImplicit(benchmark::State& state) {
-  const std::int64_t t = state.range(0);
-  auto config = machine(23);
-  config.workload_mode = sim::WorkloadMode::kImplicit;
-  const core::PatternDistribution dist(core::make_g2dbc(23), t, false);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sim::simulate_lu(t, dist, config));
-}
-BENCHMARK(BM_SimulateLuImplicit)
+BENCHMARK(BM_SimulateLu)
     ->Arg(50)
     ->Arg(100)
     ->Arg(200)
@@ -92,19 +67,6 @@ void BM_SimulateCholesky(benchmark::State& state) {
 BENCHMARK(BM_SimulateCholesky)
     ->Arg(50)
     ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SimulateCholeskyImplicit(benchmark::State& state) {
-  const std::int64_t t = state.range(0);
-  auto config = machine(25);
-  config.workload_mode = sim::WorkloadMode::kImplicit;
-  const core::PatternDistribution dist(core::make_2dbc(5, 5), t, true);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sim::simulate_cholesky(t, dist, config));
-}
-BENCHMARK(BM_SimulateCholeskyImplicit)
-    ->Arg(50)
-    ->Arg(100)
     ->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
@@ -113,8 +75,8 @@ BENCHMARK(BM_SimulateCholeskyImplicit)
 // ---------------------------------------------------------------------------
 
 /// The trajectory's fixed reference configuration: LU under G-2DBC at
-/// P = 1024 — the paper's "any number of nodes" regime, far past what the
-/// materialized engine was built for (~700k tasks, ~1.2M events).
+/// P = 1024 — the paper's "any number of nodes" regime (~700k tasks,
+/// ~1.2M events).
 constexpr std::int64_t kTrajectoryNodes = 1024;
 constexpr std::int64_t kTrajectoryTiles = 128;
 
@@ -127,11 +89,9 @@ struct Measurement {
   std::int64_t peak_rss = 0;  ///< process high-water after this phase
 };
 
-Measurement measure(sim::WorkloadMode workload, sim::EventQueueMode queue) {
+Measurement measure() {
   sim::MachineConfig config = machine(kTrajectoryNodes);
   config.workers_per_node = 2;
-  config.workload_mode = workload;
-  config.event_queue = queue;
   const core::PatternDistribution dist(core::make_g2dbc(kTrajectoryNodes),
                                        kTrajectoryTiles, false);
   const sim::SimReport report =
@@ -160,8 +120,7 @@ std::string utc_timestamp() {
   return buffer;
 }
 
-std::string render_entry(const std::string& label, const Measurement& engine,
-                         const Measurement& reference) {
+std::string render_entry(const std::string& label, const Measurement& engine) {
   std::ostringstream out;
   out.precision(6);
   out << "  {\n"
@@ -175,16 +134,7 @@ std::string render_entry(const std::string& label, const Measurement& engine,
       << "    \"seconds\": " << engine.seconds << ",\n"
       << "    \"makespan_seconds\": " << engine.makespan << ",\n"
       << "    \"frontier_peak\": " << engine.frontier_peak << ",\n"
-      << "    \"peak_rss_bytes\": " << engine.peak_rss << ",\n"
-      << "    \"reference_events_per_sec\": " << reference.events_per_sec
-      << ",\n"
-      << "    \"reference_seconds\": " << reference.seconds << ",\n"
-      << "    \"reference_peak_rss_bytes\": " << reference.peak_rss << ",\n"
-      << "    \"speedup_vs_reference\": "
-      << (reference.events_per_sec > 0.0
-              ? engine.events_per_sec / reference.events_per_sec
-              : 0.0)
-      << "\n  }";
+      << "    \"peak_rss_bytes\": " << engine.peak_rss << "\n  }";
   return out.str();
 }
 
@@ -204,19 +154,7 @@ double last_events_per_sec(const std::string& text) {
 
 int run_trajectory(const std::string& path, const std::string& label,
                    bool check) {
-  // Order matters for RSS attribution: peak RSS is a process high-water
-  // mark, so the lean engine must run before the materialized reference.
-  const Measurement engine =
-      measure(sim::WorkloadMode::kImplicit, sim::EventQueueMode::kCalendar);
-  const Measurement reference = measure(sim::WorkloadMode::kMaterialized,
-                                        sim::EventQueueMode::kBinaryHeap);
-  if (engine.events != reference.events) {
-    std::fprintf(stderr,
-                 "engines diverged: %lld vs %lld events — not comparable\n",
-                 static_cast<long long>(engine.events),
-                 static_cast<long long>(reference.events));
-    return 1;
-  }
+  const Measurement engine = measure();
 
   std::string existing;
   if (std::ifstream in(path); in) {
@@ -226,7 +164,7 @@ int run_trajectory(const std::string& path, const std::string& label,
   }
   const double previous = last_events_per_sec(existing);
 
-  const std::string entry = render_entry(label, engine, reference);
+  const std::string entry = render_entry(label, engine);
   std::string updated;
   const std::size_t closing = existing.rfind(']');
   if (closing == std::string::npos) {
@@ -250,15 +188,7 @@ int run_trajectory(const std::string& path, const std::string& label,
               engine.events_per_sec, static_cast<long long>(engine.events),
               engine.seconds, engine.peak_rss / 1048576.0,
               static_cast<long long>(engine.frontier_peak));
-  std::printf("reference:   %.0f events/s (heap + materialized, %.2f s), "
-              "peak RSS %.1f MiB\n",
-              reference.events_per_sec, reference.seconds,
-              reference.peak_rss / 1048576.0);
-  std::printf("speedup:     %.2fx;  appended to %s\n",
-              reference.events_per_sec > 0.0
-                  ? engine.events_per_sec / reference.events_per_sec
-                  : 0.0,
-              path.c_str());
+  std::printf("appended to %s\n", path.c_str());
 
   if (check && previous > 0.0 &&
       engine.events_per_sec < 0.75 * previous) {

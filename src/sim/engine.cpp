@@ -53,19 +53,20 @@ std::int64_t priority_key(const TaskView& task) {
 struct ReadyEntry {
   std::int64_t key;
   std::int64_t task;
+  std::int64_t slot;  ///< the task's decoded view (SimulatorCore::views_)
 };
 
 struct ReadyLater {
   bool operator()(const ReadyEntry& x, const ReadyEntry& y) const {
     if (x.key != y.key) return x.key > y.key;
-    // Construction-order ordinal: ties resolve the same way in both
-    // workload modes because implicit ordinals equal materialized ids.
+    // Construction-order ordinal: ties resolve the same way for a
+    // generator and its materialized oracle, whose ids equal its ordinals.
     return x.task > y.task;
   }
 };
 
-/// Model adapter over a fully materialized Workload: the seed
-/// representation, still the default and the equivalence oracle.
+/// Model adapter over a fully materialized Workload, for sim::simulate:
+/// hand-built graphs and the test oracles that check the generators.
 class MaterializedModel {
  public:
   MaterializedModel(Workload work, std::int64_t nodes)
@@ -137,11 +138,10 @@ class MaterializedModel {
   std::int64_t nodes_;
 };
 
-/// The event loop, templated over the DAG representation (Model) and the
-/// pending-event structure (Queue).  All four combinations simulate the
-/// exact same trajectory; the template exists so the hot path pays for
-/// neither virtual dispatch nor the representation it does not use.
-template <class Model, class Queue>
+/// The event loop, templated over the DAG representation (Model) so the
+/// hot path pays for neither virtual dispatch nor the representation it
+/// does not use.
+template <class Model>
 class SimulatorCore {
  public:
   SimulatorCore(Model& model, const MachineConfig& machine)
@@ -186,7 +186,7 @@ class SimulatorCore {
       now_ = event.time;
       ++report_.events;
       if (event.kind == Event::Kind::kTaskFinish) {
-        on_task_finish(event.a);
+        on_task_finish(event);
       } else if (event.kind == Event::Kind::kRetransmit) {
         on_retransmit(event);
       } else {
@@ -225,21 +225,24 @@ class SimulatorCore {
   /// A task became runnable at `time`: start it if a worker is free on its
   /// node, otherwise park it in the node's priority queue.
   void enqueue_ready(std::int64_t task_id, double time) {
-    const TaskView task = model_.task(task_id);
+    const std::int64_t slot = views_.acquire();
+    TaskView& task = views_[slot];
+    task = model_.task(task_id);
     auto& free = free_workers_[static_cast<std::size_t>(task.node)];
     if (free > 0) {
       --free;
-      start_task(task_id, task, time);
+      start_task(task_id, slot, time);
     } else {
       // FIFO ablation: readiness order replaces the critical-path key.
       const std::int64_t key = machine_.priority_scheduling
                                    ? priority_key(task)
                                    : static_cast<std::int64_t>(ready_seq_++);
-      ready_[static_cast<std::size_t>(task.node)].push({key, task_id});
+      ready_[static_cast<std::size_t>(task.node)].push({key, task_id, slot});
     }
   }
 
-  void start_task(std::int64_t task_id, const TaskView& task, double time) {
+  void start_task(std::int64_t task_id, std::int64_t slot, double time) {
+    const TaskView& task = views_[slot];
     const double duration =
         machine_.task_seconds(task.type) / machine_.perturbed_speed(task.node);
     auto& node = report_.per_node[static_cast<std::size_t>(task.node)];
@@ -259,22 +262,24 @@ class SimulatorCore {
       node_sinks_[static_cast<std::size_t>(task.node)]->record(
           std::move(event));
     }
-    push_event(time + duration, Event::Kind::kTaskFinish, task_id, 0);
+    push_event(time + duration, Event::Kind::kTaskFinish, task_id,
+               static_cast<std::int32_t>(slot));
   }
 
   void satisfy(std::int64_t task_id, double time) {
     if (model_.satisfy(task_id)) enqueue_ready(task_id, time);
   }
 
-  void on_task_finish(std::int64_t task_id) {
-    const TaskView task = model_.task(task_id);
+  void on_task_finish(const Event& event) {
+    const TaskView task = views_[event.b];
+    views_.release(event.b);
 
     // Free the worker; pull the best parked task on this node.
     auto& queue = ready_[static_cast<std::size_t>(task.node)];
     if (!queue.empty()) {
-      const std::int64_t next = queue.top().task;
+      const ReadyEntry next = queue.top();
       queue.pop();
-      start_task(next, model_.task(next), now_);
+      start_task(next.task, next.slot, now_);
     } else {
       ++free_workers_[static_cast<std::size_t>(task.node)];
     }
@@ -585,7 +590,7 @@ class SimulatorCore {
   fault::FaultInjector injector_;
   SimReport report_;
 
-  Queue events_;
+  CalendarQueue events_;
   std::uint64_t sequence_ = 0;
   std::uint64_t ready_seq_ = 0;
   double now_ = 0.0;
@@ -594,6 +599,10 @@ class SimulatorCore {
   std::vector<std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
                                   ReadyLater>>
       ready_;
+  /// Decoded views of ready and running tasks, by slot (ReadyEntry::slot,
+  /// then Event::b of the finish event): a generator decodes each task
+  /// once, when it becomes ready, not again when it starts or finishes.
+  RecyclingPool<TaskView> views_;
   std::vector<double> out_free_;
   std::vector<double> in_free_;
   /// Chunks arrived so far per (instance, group), chain mode only.
@@ -606,29 +615,13 @@ class SimulatorCore {
   std::vector<obs::TrackSink*> node_sinks_;
 };
 
-template <class Model>
-SimReport run_model(Model& model, const MachineConfig& machine) {
-  if (machine.event_queue == EventQueueMode::kBinaryHeap)
-    return SimulatorCore<Model, BinaryHeapEventQueue>(model, machine).run();
-  return SimulatorCore<Model, CalendarQueue>(model, machine).run();
-}
-
-/// Shared build-then-run scaffolding of the three kernel entry points.
-template <class MakeImplicit, class MakeWorkload>
-SimReport simulate_kernel(const MachineConfig& machine,
-                          MakeImplicit&& make_implicit,
-                          MakeWorkload&& make_workload) {
+/// Builds the model (timed as build_seconds), then runs it.
+template <class MakeModel>
+SimReport simulate_model(const MachineConfig& machine, MakeModel&& make_model) {
   const Stopwatch watch;
-  if (machine.workload_mode == WorkloadMode::kImplicit) {
-    auto model = make_implicit();
-    const double build = watch.seconds();
-    SimReport report = run_model(model, machine);
-    report.build_seconds = build;
-    return report;
-  }
-  MaterializedModel model(make_workload(), machine.nodes);
+  auto model = make_model();
   const double build = watch.seconds();
-  SimReport report = run_model(model, machine);
+  SimReport report = SimulatorCore<decltype(model)>(model, machine).run();
   report.build_seconds = build;
   return report;
 }
@@ -645,12 +638,9 @@ double SimReport::efficiency(const MachineConfig& machine) const {
 }
 
 SimReport simulate(Workload workload, const MachineConfig& machine) {
-  const Stopwatch watch;
-  MaterializedModel model(std::move(workload), machine.nodes);
-  const double build = watch.seconds();
-  SimReport report = run_model(model, machine);
-  report.build_seconds = build;
-  return report;
+  return simulate_model(machine, [&] {
+    return MaterializedModel(std::move(workload), machine.nodes);
+  });
 }
 
 SimReport simulate_lu(std::int64_t t, const core::Distribution& distribution,
@@ -667,34 +657,27 @@ SimReport simulate_cholesky(std::int64_t t,
 SimReport simulate_lu_25d(std::int64_t t,
                           const core::ReplicatedDistribution& distribution,
                           const MachineConfig& machine) {
-  return simulate_kernel(
-      machine,
-      [&] {
-        return Implicit25dWorkload(SimKernel::kLu, t, distribution, machine);
-      },
-      [&] { return build_lu_workload_25d(t, distribution, machine); });
+  return simulate_model(machine, [&] {
+    return Implicit25dWorkload(SimKernel::kLu, t, distribution, machine);
+  });
 }
 
 SimReport simulate_cholesky_25d(
     std::int64_t t, const core::ReplicatedDistribution& distribution,
     const MachineConfig& machine) {
-  return simulate_kernel(
-      machine,
-      [&] {
-        return Implicit25dWorkload(SimKernel::kCholesky, t, distribution,
-                                   machine);
-      },
-      [&] { return build_cholesky_workload_25d(t, distribution, machine); });
+  return simulate_model(machine, [&] {
+    return Implicit25dWorkload(SimKernel::kCholesky, t, distribution,
+                               machine);
+  });
 }
 
 SimReport simulate_syrk(std::int64_t t, std::int64_t k,
                         const core::Distribution& dist_c,
                         const core::Distribution& dist_a,
                         const MachineConfig& machine) {
-  return simulate_kernel(
-      machine,
-      [&] { return ImplicitWorkload(t, k, dist_c, dist_a, machine); },
-      [&] { return build_syrk_workload(t, k, dist_c, dist_a, machine); });
+  return simulate_model(machine, [&] {
+    return ImplicitWorkload(t, k, dist_c, dist_a, machine);
+  });
 }
 
 }  // namespace anyblock::sim

@@ -43,9 +43,9 @@ struct SimReport {
   /// the event loop (the BENCH_sim.json axes).
   double build_seconds = 0.0;
   double run_seconds = 0.0;
-  /// Peak resident DAG state: implicit mode reports its frontier (lazy dep
-  /// counters + in-flight instances); materialized mode reports the full
-  /// task count, since everything stays resident.
+  /// Peak resident DAG state: the generators report their frontier (lazy
+  /// dep counters + in-flight instances); simulate(Workload) reports the
+  /// full task count, since everything stays resident.
   std::int64_t frontier_peak = 0;
 
   [[nodiscard]] double total_gflops() const {
@@ -60,8 +60,9 @@ struct SimReport {
   [[nodiscard]] double efficiency(const MachineConfig& machine) const;
 };
 
-/// Runs the simulation to completion.  The workload must reference node ids
-/// in [0, machine.nodes).
+/// Runs a materialized task graph to completion (hand-built graphs and the
+/// test oracles; the kernel entry points below generate theirs on
+/// demand).  The workload must reference node ids in [0, machine.nodes).
 SimReport simulate(Workload workload, const MachineConfig& machine);
 
 /// LU and Cholesky on a 2D distribution: the one-layer case of

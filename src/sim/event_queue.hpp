@@ -1,26 +1,21 @@
 // Pending-event set of the discrete-event simulator.
 //
-// Two interchangeable implementations pop events in exactly the same
-// deterministic order — strictly increasing (time, sequence):
+// CalendarQueue is Brown's bucketed calendar queue (R. Brown, CACM 1988):
+// events hash by time into a ring of width-w buckets, and a sweep cursor
+// pops the current "day" bucket by bucket.  For the near-uniform
+// event-time distributions the factorization DAGs produce, insert and pop
+// are O(1) amortized — the difference between simulating millions and
+// billions of events.
 //
-//   * BinaryHeapEventQueue: std::priority_queue over EventLater, the seed
-//     engine's structure.  O(log n) per operation; kept as the oracle for
-//     the property tests and as the BENCH_sim.json baseline.
-//   * CalendarQueue: Brown's bucketed calendar queue (R. Brown, CACM 1988).
-//     Events hash by time into a ring of width-w buckets; a sweep cursor
-//     pops the current "day" bucket by bucket.  For the near-uniform
-//     event-time distributions the factorization DAGs produce, insert and
-//     pop are O(1) amortized — the difference between simulating millions
-//     and billions of events.
-//
-// Determinism is a hard requirement (the implicit/materialized equivalence
-// tests compare makespans bit-for-bit), so the calendar keeps each bucket
-// sorted by EventLater and resolves cross-bucket candidates with the same
-// comparator; bucket count and width only affect speed, never order.
+// Pops come out in strictly increasing (time, sequence) order.  Determinism
+// is a hard requirement (the equivalence tests compare makespans
+// bit-for-bit), so each bucket stays sorted by EventLater and cross-bucket
+// candidates resolve with the same comparator; bucket count and width only
+// affect speed, never order.  tests/sim/calendar_queue_test.cpp holds the
+// pop sequence to a std::priority_queue oracle kept in tests/sim/oracle/.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace anyblock::sim {
@@ -33,7 +28,7 @@ struct Event {
   enum class Kind : std::uint8_t { kTaskFinish, kArrival, kRetransmit } kind =
       Kind::kTaskFinish;
   std::int64_t a = 0;         ///< task ordinal (finish) or instance ordinal
-  std::int32_t b = 0;         ///< destination group index (arrival)
+  std::int32_t b = 0;         ///< group index (arrival), task slot (finish)
   std::int32_t c = 0;         ///< chunk index (pipelined-chain arrivals)
   std::int32_t src = -1;      ///< sending node (arrival/retransmit)
   std::int32_t attempt = 0;   ///< transmission attempt (retransmit)
@@ -42,30 +37,12 @@ struct Event {
 };
 
 /// Strict weak order "x fires after y": earlier time wins, then the lower
-/// push sequence.  The priority_queue comparator and the calendar's
-/// in-bucket sort are this same functor, so both structures agree on order.
+/// push sequence.  The calendar's in-bucket sort uses this functor.
 struct EventLater {
   bool operator()(const Event& x, const Event& y) const {
     if (x.time != y.time) return x.time > y.time;
     return x.sequence > y.sequence;
   }
-};
-
-/// The seed engine's global heap, wrapped in the pop()-returning interface
-/// shared with CalendarQueue.
-class BinaryHeapEventQueue {
- public:
-  void push(const Event& event) { heap_.push(event); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  Event pop() {
-    Event event = heap_.top();
-    heap_.pop();
-    return event;
-  }
-
- private:
-  std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
 };
 
 /// Bucketed calendar queue.  Buckets are vectors sorted descending by

@@ -1,16 +1,19 @@
-// Implicit (generator-driven) task DAGs for the cluster simulator.
+// Implicit (generator-driven) task DAGs: the simulator's only source of
+// LU, Cholesky and SYRK graphs.
 //
-// The materialized Workload holds every task up front: O(t^3) SimTasks plus
-// instance/waiter vectors — ~40 GB for LU at t = 2048, which caps the
-// simulator near the paper's own scales.  The right-looking factorizations
-// are perfectly regular, though: a task is identified by (iteration l, tile
-// i, j) alone, and every edge of the DAG is a closed-form function of that
-// triple.  This model exploits that:
+// Materializing the graph would hold every task up front: O(t^3) tasks
+// plus instance/waiter vectors — ~40 GB for LU at t = 2048, which would cap
+// the simulator near the paper's own scales.  The right-looking
+// factorizations are perfectly regular, though: a task is identified by
+// (iteration l, tile i, j) alone, and every edge of the DAG is a
+// closed-form function of that triple.  The generators exploit that:
 //
-//   * Task *ordinals* reproduce the materialized builder's construction
-//     order exactly (the engine tie-breaks ready tasks by ordinal), so the
-//     two modes simulate bit-identical trajectories — the equivalence tests
-//     hold makespans, message counts and obs metric rows equal.
+//   * Task *ordinals* follow a fixed construction order.  The engine
+//     tie-breaks ready tasks by ordinal, and the materialized oracles in
+//     tests/sim/oracle/ emit tasks in the same order, so a built graph run
+//     through sim::simulate gives a bit-identical trajectory — the
+//     equivalence tests hold makespans, message counts and obs metric rows
+//     equal.
 //   * Dependency counters live in a FlatMap64 *frontier*, created lazily on
 //     first satisfaction and erased on readiness: O(active tiles), not
 //     O(total tasks).
@@ -18,8 +21,8 @@
 //     finishes and recycled (RecyclingPool) once every remote copy is
 //     delivered, so instance state is bounded by in-flight communication.
 //
-// Peak memory is O(t^2) against the materialized O(t^3); the Cholesky
-// acceptance run (P = 4096, t = 2048, 1.4e9 tasks) fits in a few hundred MB.
+// Peak memory is O(t^2); the Cholesky acceptance run (P = 4096, t = 2048,
+// 1.4e9 tasks) fits in a few hundred MB.
 //
 // This header holds the frontier and instance pool every generator shares
 // (ImplicitFrontier) and the SYRK generator.  LU and Cholesky, at every
@@ -53,7 +56,7 @@ struct TaskView {
 };
 
 /// Consumers of one published tile on one node (implicit counterpart of
-/// InstanceGroup; waiter ordinals in materialized-builder order).
+/// InstanceGroup; waiter ordinals in construction order).
 struct ImplicitGroup {
   std::int32_t node = -1;
   std::vector<std::int64_t> waiters;
@@ -154,7 +157,7 @@ class ImplicitFrontier {
   }
 
   /// Appends `waiter` to the group of `node`, opening the group on first
-  /// occurrence.  Linear scan, like the materialized builder: group order
+  /// occurrence.  Linear scan, like the materialized oracle: group order
   /// is first occurrence by node, and group counts are small (bounded by
   /// the distribution's per-tile consumer spread, not by P).
   static void add_consumer(ImplicitInstance& state, std::int32_t node,
@@ -183,9 +186,8 @@ class ImplicitFrontier {
   std::int64_t live_peak_ = 0;
 };
 
-/// SYRK C -= A A^T as a generator: the implicit twin of
-/// build_syrk_workload.  (LU and Cholesky run on Implicit25dWorkload, whose
-/// one-layer case is the 2D schedule.)
+/// SYRK C -= A A^T as a generator.  (LU and Cholesky run on
+/// Implicit25dWorkload, whose one-layer case is the 2D schedule.)
 class ImplicitWorkload : public ImplicitFrontier<ImplicitWorkload> {
  public:
   /// C (t x t, lower, `dist_c`) -= A A^T with A of t x k tiles on `dist_a`

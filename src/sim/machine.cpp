@@ -16,21 +16,10 @@ std::int64_t estimated_task_count(bool symmetric, std::int64_t tiles) {
 }
 
 WorkloadMode choose_workload_mode(const std::string& name,
-                                  std::int64_t estimated_tasks) {
-  if (name == "materialized") return WorkloadMode::kMaterialized;
-  if (name == "implicit") return WorkloadMode::kImplicit;
-  if (name == "auto")
-    return estimated_tasks > kMaterializeTaskLimit ? WorkloadMode::kImplicit
-                                                   : WorkloadMode::kMaterialized;
+                                  std::int64_t /*estimated_tasks*/) {
+  if (name == "auto" || name == "implicit") return WorkloadMode::kImplicit;
   throw std::invalid_argument("unknown workload mode: " + name +
-                              " (expected auto|materialized|implicit)");
-}
-
-EventQueueMode parse_event_queue_mode(const std::string& name) {
-  if (name == "calendar") return EventQueueMode::kCalendar;
-  if (name == "heap") return EventQueueMode::kBinaryHeap;
-  throw std::invalid_argument("unknown event queue: " + name +
-                              " (expected calendar|heap)");
+                              " (expected auto|implicit)");
 }
 
 double MachineConfig::task_flops(TaskType type) const {

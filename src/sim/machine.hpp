@@ -39,40 +39,23 @@ enum class TaskType : std::uint8_t {
   kReduce
 };
 
-/// How the simulator obtains the task DAG.  Both modes simulate the exact
-/// same trajectory (bit-identical makespans and counters — enforced by the
-/// equivalence tests); they differ only in memory: materialized holds every
-/// task up front (O(t^3)), implicit generates tasks and consumer groups on
-/// demand from closed forms (O(t^2) frontier), which is what makes
-/// 100M+-task grids simulable.
-enum class WorkloadMode : std::uint8_t { kMaterialized, kImplicit };
+/// The implicit generator is the simulator's only task-DAG source; these
+/// names are vestigial.  The benchmark (benchmark/src/sim_workload.cpp)
+/// still compiles against WorkloadMode, choose_workload_mode,
+/// estimated_task_count and MachineConfig::workload_mode, and passes
+/// --workload-mode auto|implicit to the CLI; a later change to the
+/// benchmark removes them.  Nothing in the simulator reads the field.
+enum class WorkloadMode : std::uint8_t { kImplicit };
 
-/// Pending-event structure.  The calendar queue is O(1) amortized and the
-/// default; the binary heap is the seed engine's O(log n) structure, kept
-/// as the reference for property tests and perf baselines.  Both pop in
-/// the same deterministic (time, sequence) order.
-enum class EventQueueMode : std::uint8_t { kCalendar, kBinaryHeap };
-
-/// Estimated materialized task count of a t-tile factorization — the input
-/// to the "auto" workload-mode choice.  Exact counts need the kernel, but
-/// the cubic term dominates at every size where the choice matters.
+/// Estimated task count of a t-tile factorization (the cubic term
+/// dominates).  Kept for the benchmark; see WorkloadMode.
 [[nodiscard]] std::int64_t estimated_task_count(bool symmetric,
                                                std::int64_t tiles);
 
-/// Materialized task count above which choose_workload_mode("auto", ...)
-/// switches to the implicit generator; ~4M tasks is a few hundred MB of
-/// materialized DAG, the point where build time and memory start to hurt.
-inline constexpr std::int64_t kMaterializeTaskLimit = 4'000'000;
-
-/// Parses "materialized" | "implicit" | "auto"; auto picks implicit above
-/// kMaterializeTaskLimit estimated tasks.  Throws std::invalid_argument on
-/// anything else.
+/// Parses "auto" | "implicit", both of which name the implicit generator.
+/// Throws std::invalid_argument on anything else, "materialized" included.
 [[nodiscard]] WorkloadMode choose_workload_mode(const std::string& name,
                                                std::int64_t estimated_tasks);
-
-/// Parses "calendar" | "heap"; throws std::invalid_argument on anything
-/// else.
-[[nodiscard]] EventQueueMode parse_event_queue_mode(const std::string& name);
 
 struct MachineConfig {
   std::int64_t nodes = 1;
@@ -104,13 +87,8 @@ struct MachineConfig {
   /// d * chain_chunks for the chain.
   comm::CollectiveConfig collective;
 
-  /// DAG representation (see WorkloadMode).  simulate_lu/cholesky/syrk
-  /// dispatch on this; simulate(Workload, ...) is materialized by nature.
-  WorkloadMode workload_mode = WorkloadMode::kMaterialized;
-
-  /// Pending-event structure (see EventQueueMode); affects speed only,
-  /// never results.
-  EventQueueMode event_queue = EventQueueMode::kCalendar;
+  /// Vestigial (see WorkloadMode): simulate_* ignore it.
+  WorkloadMode workload_mode = WorkloadMode::kImplicit;
 
   /// Deterministic platform perturbation, sharing the vmpi fault model:
   /// per-message drop/duplicate/delay fates (recovered by receiver-timeout

@@ -1,22 +1,22 @@
-// Materialized task-DAG builders for the cluster simulator.
+// Materialized task graph: the representation sim::simulate runs.
 //
-// The right-looking factorizations have a fixed dependency structure, so
-// instead of a generic DAG the builder emits:
+// The simulator generates its LU, Cholesky and SYRK graphs implicitly
+// (sim/implicit_workload.hpp, sim/workload_25d.hpp).  A Workload holds a
+// graph in full instead, for hand-built cases and for the test oracles
+// (tests/sim/oracle/) that check the generators.  It is:
 //   * a flat task table (type, iteration, tile, owner node) with a
 //     precomputed dependency count,
 //   * per-tile *chains* (the sequence of tasks writing a tile runs on its
 //     owner, so chain edges never communicate), and
-//   * published *instances*: each panel tile is produced once (by
-//     GETRF/POTRF/TRSM) and then consumed by update tasks; consumers are
-//     grouped by node, one tile message per remote group (eager sends with
-//     per-destination dedup — the communication scheme of Fig. 2).
+//   * published *instances*: each published tile is consumed by later
+//     tasks; consumers are grouped by node, one tile message per remote
+//     group (eager sends with per-destination dedup — the communication
+//     scheme of Fig. 2).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/distribution.hpp"
-#include "core/replicated.hpp"
 #include "sim/machine.hpp"
 
 namespace anyblock::sim {
@@ -41,7 +41,7 @@ struct InstanceGroup {
   std::vector<std::int64_t> waiters;  ///< task ids unblocked by availability
 };
 
-/// A published tile (exactly one per matrix tile in these algorithms).
+/// A published tile and the nodes that consume it.
 struct Instance {
   std::int32_t producer_node;
   std::vector<InstanceGroup> groups;
@@ -55,31 +55,6 @@ struct Workload {
   [[nodiscard]] std::int64_t task_count() const {
     return static_cast<std::int64_t>(tasks.size());
   }
-  /// Tile messages the eager protocol will send (remote groups).
-  [[nodiscard]] std::int64_t message_count() const;
 };
-
-/// Builds the LU task graph for a t x t tile matrix.  At one layer this is
-/// the 2D right-looking schedule; with c > 1 layers it is the 2.5D schedule
-/// of sim/workload_25d.hpp (flush and reduce blocks ahead of each
-/// iteration's panel).
-Workload build_lu_workload_25d(std::int64_t t,
-                               const core::ReplicatedDistribution& distribution,
-                               const MachineConfig& machine);
-
-/// Builds the Cholesky (lower) task graph; same layering as LU.
-Workload build_cholesky_workload_25d(
-    std::int64_t t, const core::ReplicatedDistribution& distribution,
-    const MachineConfig& machine);
-
-/// Builds the SYRK task graph C -= A*A^T for C of t x t tiles (lower,
-/// owned per `dist_c`) and A of t x k tiles (owned per `dist_a`, column l
-/// mapped through column l mod t).  A tiles enter as zero-cost kLoad tasks
-/// so their broadcast along C colrows is charged to the network like any
-/// published tile.
-Workload build_syrk_workload(std::int64_t t, std::int64_t k,
-                             const core::Distribution& dist_c,
-                             const core::Distribution& dist_a,
-                             const MachineConfig& machine);
 
 }  // namespace anyblock::sim

@@ -24,11 +24,10 @@
 // only LU/Cholesky DAG the simulator has.  Digests pinned from the former
 // dedicated 2D generators (tests/sim/equivalence_25d_test.cpp) anchor it.
 //
-// The materialized builders (build_lu_workload_25d,
-// build_cholesky_workload_25d) live in sim/workload.hpp.
-// Implicit25dWorkload is their generator-driven twin: ordinals reproduce
-// the builder's construction order from closed forms, so both modes
-// simulate the same trajectory while the implicit frontier stays O(t^2).
+// Implicit25dWorkload generates this DAG on demand: ordinals follow a
+// fixed construction order computed from closed forms, so the frontier
+// stays O(t^2).  The materialized oracle in tests/sim/oracle/ emits the
+// same graph task for task.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,6 @@
 #include "core/replicated.hpp"
 #include "sim/implicit_workload.hpp"
 #include "sim/machine.hpp"
-#include "sim/workload.hpp"
 
 namespace anyblock::sim {
 

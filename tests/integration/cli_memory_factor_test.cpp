@@ -9,32 +9,15 @@
 // valid factors.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <string>
+
+#include "integration/run_cli.hpp"
 
 namespace anyblock {
 namespace {
 
-struct CliResult {
-  int exit_code = -1;
-  std::string output;
-};
-
-CliResult run_cli(const std::string& args) {
-  const std::string command = std::string(ANYBLOCK_CLI_PATH) + " " + args +
-                              " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return {};
-  CliResult result;
-  char chunk[4096];
-  while (std::fgets(chunk, sizeof chunk, pipe) != nullptr)
-    result.output += chunk;
-  const int status = pclose(pipe);
-  result.exit_code = status < 0 ? status : WEXITSTATUS(status);
-  return result;
-}
+using testing_cli::CliResult;
+using testing_cli::run_cli;
 
 void expect_rejected(const std::string& args) {
   const CliResult result = run_cli(args);

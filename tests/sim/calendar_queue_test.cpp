@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/oracle/binary_heap_event_queue.hpp"
 
 namespace anyblock::sim {
 namespace {

@@ -6,6 +6,7 @@
 #include "core/g2dbc.hpp"
 #include "core/pattern_search.hpp"
 #include "core/sbc.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 
 namespace anyblock::sim {
 namespace {
@@ -76,7 +77,7 @@ TEST(SimEngine, MessagesMatchWorkload) {
   const MachineConfig machine = test_machine(6);
   const Workload work =
       build_lu_workload_25d(15, core::one_layer(dist), machine);
-  const std::int64_t expected = work.message_count();
+  const std::int64_t expected = message_count(work);
   const SimReport report = simulate(work, machine);
   EXPECT_EQ(report.messages, expected);
   std::int64_t per_node_total = 0;

@@ -3,10 +3,12 @@
 // The contract under test (core/replicated.hpp, sim/workload_25d.hpp):
 //  * c = 1 is *bit-identical* to the plain 2D path — same trajectory, same
 //    per-node counters, same obs metric rows, same task graph — for every
-//    distribution family, collective and workload mode.  The reference is
-//    a set of digests pinned from the dedicated 2D generators.
+//    distribution family and collective, on the implicit generator and on
+//    its materialized test oracle (tests/sim/oracle/) run through
+//    sim::simulate.  The reference is a set of digests pinned from the
+//    dedicated 2D generators.
 //  * For any (P_b, c, t) the implicit generator's closed forms reproduce
-//    the materialized 2.5D builder task-for-task, instance-for-instance.
+//    the materialized 2.5D oracle task-for-task, instance-for-instance.
 //  * Measured communication equals the closed forms exactly
 //    (core/cost.hpp) and never undercuts the parallel-I/O lower bound
 //    (core/bounds.hpp).
@@ -30,6 +32,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 #include "sim/workload.hpp"
 #include "sim/workload_25d.hpp"
 #include "util/hash.hpp"
@@ -62,18 +65,43 @@ core::ReplicatedDistribution replicate(const DistCase& dist, std::int64_t t,
       layers);
 }
 
-MachineConfig machine_for(std::int64_t nodes, comm::Algorithm algorithm,
-                          WorkloadMode mode) {
+MachineConfig machine_for(std::int64_t nodes, comm::Algorithm algorithm) {
   MachineConfig machine;
   machine.nodes = nodes;
   machine.workers_per_node = 4;
   machine.collective.algorithm = algorithm;
   machine.collective.chain_chunks = 3;
-  machine.workload_mode = mode;
   return machine;
 }
 
 constexpr std::int64_t kT = 20;
+
+/// Which side runs: the oracle graph through sim::simulate, or the
+/// generator behind the kernel entry points.
+enum class Path { kMaterialized, kImplicit };
+
+/// LU or Cholesky on `dist` along `path`.
+SimReport run_25d(bool symmetric, std::int64_t t,
+                  const core::ReplicatedDistribution& dist,
+                  const MachineConfig& machine, Path path) {
+  if (path == Path::kImplicit)
+    return symmetric ? simulate_cholesky_25d(t, dist, machine)
+                     : simulate_lu_25d(t, dist, machine);
+  return simulate(symmetric ? build_cholesky_workload_25d(t, dist, machine)
+                            : build_lu_workload_25d(t, dist, machine),
+                  machine);
+}
+
+/// The 2D entry points (simulate_lu/simulate_cholesky) along `path`; the
+/// oracle's 2D graph is its one-layer graph.
+SimReport run_2d(bool symmetric, std::int64_t t,
+                 const core::PatternDistribution& base,
+                 const MachineConfig& machine, Path path) {
+  if (path == Path::kMaterialized)
+    return run_25d(symmetric, t, core::one_layer(base), machine, path);
+  return symmetric ? simulate_cholesky(t, base, machine)
+                   : simulate_lu(t, base, machine);
+}
 
 void expect_identical_reports(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
@@ -325,8 +353,8 @@ const std::vector<PinnedHash>& pinned_metric_csvs() {
   return rows;
 }
 
-const char* mode_name(WorkloadMode mode) {
-  return mode == WorkloadMode::kImplicit ? "implicit" : "materialized";
+const char* mode_name(Path mode) {
+  return mode == Path::kImplicit ? "implicit" : "materialized";
 }
 
 TEST(Golden25d, OneLayerMatches2dAcrossCollectivesAndModes) {
@@ -335,24 +363,19 @@ TEST(Golden25d, OneLayerMatches2dAcrossCollectivesAndModes) {
       for (const comm::Algorithm algorithm :
            {comm::Algorithm::kEagerP2P, comm::Algorithm::kBinomialTree,
             comm::Algorithm::kPipelinedChain}) {
-        for (const WorkloadMode mode :
-             {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
+        for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
           const std::string key = std::string(dist.name) +
                                   (symmetric ? " cholesky " : " lu ") +
                                   comm::algorithm_name(algorithm) + " " +
                                   mode_name(mode);
           SCOPED_TRACE(key);
-          const MachineConfig machine =
-              machine_for(dist.base_nodes, algorithm, mode);
+          const MachineConfig machine = machine_for(dist.base_nodes, algorithm);
           const core::PatternDistribution base(dist.pattern, kT, symmetric);
           const core::ReplicatedDistribution stacked =
               replicate(dist, kT, symmetric, 1);
-          const SimReport flat = symmetric
-                                     ? simulate_cholesky(kT, base, machine)
-                                     : simulate_lu(kT, base, machine);
+          const SimReport flat = run_2d(symmetric, kT, base, machine, mode);
           const SimReport layered =
-              symmetric ? simulate_cholesky_25d(kT, stacked, machine)
-                        : simulate_lu_25d(kT, stacked, machine);
+              run_25d(symmetric, kT, stacked, machine, mode);
           const PinnedTrajectory* pinned =
               find_pinned(pinned_trajectories(), key);
           if (pinned == nullptr) {
@@ -371,8 +394,7 @@ TEST(Golden25d, OneLayerMatches2dAcrossCollectivesAndModes) {
 TEST(Golden25d, OneLayerObsMetricRowsAreIdentical) {
   const DistCase dist{"g2dbc_p23", core::make_g2dbc(23), 23};
   for (const bool symmetric : {false, true}) {
-    for (const WorkloadMode mode :
-         {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
+    for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
       const std::string key =
           std::string(symmetric ? "cholesky " : "lu ") + mode_name(mode);
       SCOPED_TRACE(key);
@@ -380,21 +402,14 @@ TEST(Golden25d, OneLayerObsMetricRowsAreIdentical) {
       for (const bool layered : {false, true}) {
         obs::Recorder recorder;
         MachineConfig machine =
-            machine_for(dist.base_nodes, comm::Algorithm::kEagerP2P, mode);
+            machine_for(dist.base_nodes, comm::Algorithm::kEagerP2P);
         machine.recorder = &recorder;
         if (layered) {
-          const core::ReplicatedDistribution stacked =
-              replicate(dist, kT, symmetric, 1);
-          if (symmetric)
-            simulate_cholesky_25d(kT, stacked, machine);
-          else
-            simulate_lu_25d(kT, stacked, machine);
+          run_25d(symmetric, kT, replicate(dist, kT, symmetric, 1), machine,
+                  mode);
         } else {
           const core::PatternDistribution base(dist.pattern, kT, symmetric);
-          if (symmetric)
-            simulate_cholesky(kT, base, machine);
-          else
-            simulate_lu(kT, base, machine);
+          run_2d(symmetric, kT, base, machine, mode);
         }
         std::ostringstream out;
         obs::write_metrics_csv(out, recorder.take(), {});
@@ -448,9 +463,8 @@ TEST(Golden25d, FaultTrajectoriesMatchAcrossModesAtTwoLayers) {
   for (const comm::Algorithm algorithm :
        {comm::Algorithm::kEagerP2P, comm::Algorithm::kPipelinedChain}) {
     SimReport reports[2];
-    for (const WorkloadMode mode :
-         {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
-      MachineConfig machine = machine_for(2 * 23, algorithm, mode);
+    for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
+      MachineConfig machine = machine_for(2 * 23, algorithm);
       machine.faults.drop = 0.05;
       machine.faults.duplicate = 0.03;
       machine.faults.delay = 0.05;
@@ -459,8 +473,8 @@ TEST(Golden25d, FaultTrajectoriesMatchAcrossModesAtTwoLayers) {
       const DistCase dist{"g2dbc_p23", core::make_g2dbc(23), 23};
       const core::ReplicatedDistribution stacked =
           replicate(dist, kT, false, 2);
-      reports[mode == WorkloadMode::kImplicit] =
-          simulate_lu_25d(kT, stacked, machine);
+      reports[mode == Path::kImplicit] =
+          run_25d(false, kT, stacked, machine, mode);
     }
     expect_identical_reports(reports[0], reports[1]);
     EXPECT_GT(reports[0].faults.drops, 0);
@@ -571,7 +585,7 @@ TEST(Property25d, MeasuredTrafficMatchesClosedFormsAndBound) {
            {comm::Algorithm::kEagerP2P, comm::Algorithm::kBinomialTree,
             comm::Algorithm::kPipelinedChain}) {
         const MachineConfig machine =
-            machine_for(d.num_nodes(), algorithm, WorkloadMode::kImplicit);
+            machine_for(d.num_nodes(), algorithm);
         const SimReport report = symmetric
                                      ? simulate_cholesky_25d(t, d, machine)
                                      : simulate_lu_25d(t, d, machine);
@@ -599,7 +613,7 @@ TEST(Property25d, MeasuredTrafficMatchesClosedFormsAndBound) {
 }
 
 TEST(Property25d, MaterializedMessageCountMatchesClosedForm) {
-  // The builder's static message_count() (remote consumer groups) agrees
+  // The oracle graph's static message_count() (remote consumer groups) agrees
   // with the eager-p2p closed form too — no double counting of flushes.
   MachineConfig machine;
   for (const DistCase& dist : dist_cases()) {
@@ -608,10 +622,10 @@ TEST(Property25d, MaterializedMessageCountMatchesClosedForm) {
       const core::ReplicatedDistribution lu = replicate(dist, kT, false, layers);
       const core::ReplicatedDistribution chol =
           replicate(dist, kT, true, layers);
-      EXPECT_EQ(build_lu_workload_25d(kT, lu, machine).message_count(),
+      EXPECT_EQ(message_count(build_lu_workload_25d(kT, lu, machine)),
                 core::exact_lu_volume_25d(lu, kT))
           << dist.name << " c=" << layers;
-      EXPECT_EQ(build_cholesky_workload_25d(kT, chol, machine).message_count(),
+      EXPECT_EQ(message_count(build_cholesky_workload_25d(kT, chol, machine)),
                 core::exact_cholesky_volume_25d(chol, kT))
           << dist.name << " c=" << layers;
     }

@@ -1,6 +1,7 @@
-// Golden equivalence suite for the two DAG representations and the two
-// event queues: implicit (generator-driven) and materialized workloads
-// must produce bit-identical simulations — same makespan, same per-node
+// Golden equivalence suite for the implicit generators against their test
+// oracles: the materialized graph of tests/sim/oracle/, run through
+// sim::simulate, and the generator behind simulate_lu/cholesky/syrk must
+// produce bit-identical simulations — same makespan, same per-node
 // task/message counters, same obs metric rows — for every factorization,
 // distribution family, and collective.  Also holds the 64-bit task-id
 // regression tests at the old int32 overflow boundary.
@@ -22,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/implicit_workload.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 #include "sim/workload.hpp"
 #include "sim/workload_25d.hpp"
 
@@ -29,6 +31,10 @@ namespace anyblock::sim {
 namespace {
 
 enum class Kernel { kLu, kCholesky, kSyrk };
+
+/// Which side of the comparison runs: the oracle graph through
+/// sim::simulate, or the generator behind the kernel entry point.
+enum class Path { kMaterialized, kImplicit };
 
 struct DistCase {
   const char* name;
@@ -46,16 +52,12 @@ std::vector<DistCase> dist_cases() {
           {"2dbc_4x3", core::make_2dbc(4, 3), 12}};
 }
 
-MachineConfig machine_for(std::int64_t nodes, comm::Algorithm algorithm,
-                          WorkloadMode mode,
-                          EventQueueMode queue = EventQueueMode::kCalendar) {
+MachineConfig machine_for(std::int64_t nodes, comm::Algorithm algorithm) {
   MachineConfig machine;
   machine.nodes = nodes;
   machine.workers_per_node = 4;
   machine.collective.algorithm = algorithm;
   machine.collective.chain_chunks = 3;
-  machine.workload_mode = mode;
-  machine.event_queue = queue;
   return machine;
 }
 
@@ -63,20 +65,29 @@ constexpr std::int64_t kT = 20;  ///< tile grid side used by trajectory tests
 constexpr std::int64_t kSyrkK = 7;
 
 SimReport run_kernel(Kernel kernel, const DistCase& dist,
-                     const MachineConfig& machine) {
+                     const MachineConfig& machine, Path mode) {
+  const bool oracle = mode == Path::kMaterialized;
   switch (kernel) {
     case Kernel::kLu: {
       const core::PatternDistribution d(dist.pattern, kT, false);
-      return simulate_lu(kT, d, machine);
+      return oracle ? simulate(build_lu_workload_25d(kT, core::one_layer(d),
+                                                     machine),
+                               machine)
+                    : simulate_lu(kT, d, machine);
     }
     case Kernel::kCholesky: {
       const core::PatternDistribution d(dist.pattern, kT, true);
-      return simulate_cholesky(kT, d, machine);
+      return oracle ? simulate(build_cholesky_workload_25d(
+                                   kT, core::one_layer(d), machine),
+                               machine)
+                    : simulate_cholesky(kT, d, machine);
     }
     case Kernel::kSyrk: {
       const core::PatternDistribution c(dist.pattern, kT, true);
       const core::PatternDistribution a(dist.pattern, kT, false);
-      return simulate_syrk(kT, kSyrkK, c, a, machine);
+      return oracle ? simulate(build_syrk_workload(kT, kSyrkK, c, a, machine),
+                               machine)
+                    : simulate_syrk(kT, kSyrkK, c, a, machine);
     }
   }
   throw std::logic_error("unreachable");
@@ -113,12 +124,11 @@ TEST(ModeEquivalence, TrajectoriesMatchAcrossKernelsDistributionsCollectives) {
       for (const comm::Algorithm algorithm :
            {comm::Algorithm::kEagerP2P, comm::Algorithm::kBinomialTree,
             comm::Algorithm::kPipelinedChain}) {
-        const SimReport materialized = run_kernel(
-            kernel, dist,
-            machine_for(dist.nodes, algorithm, WorkloadMode::kMaterialized));
-        const SimReport implicit = run_kernel(
-            kernel, dist,
-            machine_for(dist.nodes, algorithm, WorkloadMode::kImplicit));
+        const MachineConfig machine = machine_for(dist.nodes, algorithm);
+        const SimReport materialized =
+            run_kernel(kernel, dist, machine, Path::kMaterialized);
+        const SimReport implicit =
+            run_kernel(kernel, dist, machine, Path::kImplicit);
         SCOPED_TRACE(std::string(dist.name) + " kernel " +
                      std::to_string(static_cast<int>(kernel)) + " alg " +
                      comm::algorithm_name(algorithm));
@@ -137,16 +147,15 @@ TEST(ModeEquivalence, ObsMetricRowsAreIdentical) {
   for (const Kernel kernel :
        {Kernel::kLu, Kernel::kCholesky, Kernel::kSyrk}) {
     std::string csv[2];
-    for (const WorkloadMode mode :
-         {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
+    for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
       obs::Recorder recorder;
       MachineConfig machine =
-          machine_for(dist.nodes, comm::Algorithm::kEagerP2P, mode);
+          machine_for(dist.nodes, comm::Algorithm::kEagerP2P);
       machine.recorder = &recorder;
-      run_kernel(kernel, dist, machine);
+      run_kernel(kernel, dist, machine, mode);
       std::ostringstream out;
       obs::write_metrics_csv(out, recorder.take(), {});
-      csv[mode == WorkloadMode::kImplicit] = out.str();
+      csv[mode == Path::kImplicit] = out.str();
     }
     EXPECT_EQ(csv[0], csv[1]) << static_cast<int>(kernel);
     EXPECT_FALSE(csv[0].empty());
@@ -160,40 +169,20 @@ TEST(ModeEquivalence, FaultTrajectoriesMatchToo) {
   for (const comm::Algorithm algorithm :
        {comm::Algorithm::kEagerP2P, comm::Algorithm::kPipelinedChain}) {
     SimReport reports[2];
-    for (const WorkloadMode mode :
-         {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
-      MachineConfig machine = machine_for(23, algorithm, mode);
+    for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
+      MachineConfig machine = machine_for(23, algorithm);
       machine.faults.drop = 0.05;
       machine.faults.duplicate = 0.03;
       machine.faults.delay = 0.05;
       machine.faults.link_jitter = 0.2;
       machine.faults.seed = 7;
       const DistCase dist{"g2dbc_p23", core::make_g2dbc(23), 23};
-      reports[mode == WorkloadMode::kImplicit] =
-          run_kernel(Kernel::kLu, dist, machine);
+      reports[mode == Path::kImplicit] =
+          run_kernel(Kernel::kLu, dist, machine, mode);
     }
     expect_identical_reports(reports[0], reports[1]);
     EXPECT_GT(reports[0].faults.drops, 0);
     EXPECT_GT(reports[0].faults.dedup_discards, 0);
-  }
-}
-
-TEST(QueueEquivalence, CalendarAndHeapSimulateIdentically) {
-  const DistCase dist{"g2dbc_p23", core::make_g2dbc(23), 23};
-  for (const Kernel kernel :
-       {Kernel::kLu, Kernel::kCholesky, Kernel::kSyrk}) {
-    for (const WorkloadMode mode :
-         {WorkloadMode::kMaterialized, WorkloadMode::kImplicit}) {
-      const SimReport heap =
-          run_kernel(kernel, dist,
-                     machine_for(dist.nodes, comm::Algorithm::kBinomialTree,
-                                 mode, EventQueueMode::kBinaryHeap));
-      const SimReport calendar =
-          run_kernel(kernel, dist,
-                     machine_for(dist.nodes, comm::Algorithm::kBinomialTree,
-                                 mode, EventQueueMode::kCalendar));
-      expect_identical_reports(heap, calendar);
-    }
   }
 }
 
@@ -283,7 +272,6 @@ TEST(ImplicitStructure, RejectsForeignNodeIdsLazily) {
   MachineConfig machine;
   machine.nodes = 2;
   machine.workers_per_node = 4;
-  machine.workload_mode = WorkloadMode::kImplicit;
   EXPECT_THROW(simulate_lu(10, dist, machine), std::invalid_argument);
 }
 

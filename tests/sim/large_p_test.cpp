@@ -73,7 +73,6 @@ TEST(LargeP, ImplicitSimulationMatchesExactVolumesAtP1024) {
   MachineConfig machine;
   machine.nodes = params.P;
   machine.workers_per_node = 2;
-  machine.workload_mode = WorkloadMode::kImplicit;
   const SimReport report = simulate_cholesky(t, dist, machine);
   EXPECT_GT(report.makespan_seconds, 0.0);
   EXPECT_EQ(report.messages, core::exact_cholesky_volume(pattern, t));
@@ -91,8 +90,8 @@ TEST(LargeP, ImplicitSimulationMatchesExactVolumesAtP1024) {
 
 TEST(LargeP, ImplicitLuRunsAtP4096) {
   // The acceptance-criterion shape in miniature: G-2DBC on 4096 nodes,
-  // implicit mode, moderate grid.  The materialized engine would build
-  // ~11M tasks here; implicit keeps only the frontier.
+  // moderate grid.  A materialized graph would hold ~11M tasks here; the
+  // generator keeps only the frontier.
   const std::int64_t P = 4096;
   const std::int64_t t = 160;
   const core::Pattern pattern = core::make_g2dbc(P);
@@ -100,7 +99,6 @@ TEST(LargeP, ImplicitLuRunsAtP4096) {
   MachineConfig machine;
   machine.nodes = P;
   machine.workers_per_node = 2;
-  machine.workload_mode = WorkloadMode::kImplicit;
   const SimReport report = simulate_lu(t, dist, machine);
   EXPECT_GT(report.makespan_seconds, 0.0);
   EXPECT_EQ(report.messages, core::exact_lu_volume(pattern, t));

@@ -1,6 +1,8 @@
-#include "sim/workload.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace anyblock::sim {
 namespace {
@@ -138,9 +140,9 @@ void add_reduction_blocks(WorkloadBuilder& builder,
 
 }  // namespace
 
-std::int64_t Workload::message_count() const {
+std::int64_t message_count(const Workload& work) {
   std::int64_t count = 0;
-  for (const auto& instance : instances) {
+  for (const auto& instance : work.instances) {
     for (const auto& group : instance.groups) {
       if (group.node != instance.producer_node) ++count;
     }

@@ -6,6 +6,7 @@
 #include "core/cost.hpp"
 #include "core/sbc.hpp"
 #include "sim/engine.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 
 namespace anyblock::sim {
 namespace {
@@ -27,7 +28,7 @@ TEST(SyrkWorkload, TaskAndMessageCounts) {
       build_syrk_workload(t, k, dist_c, dist_a, machine_for(6));
   // t*k loads + k * (t SYRK + t(t-1)/2 GEMM).
   EXPECT_EQ(work.task_count(), t * k + k * (t + t * (t - 1) / 2));
-  EXPECT_EQ(work.message_count(), core::exact_syrk_volume(pattern, t, k));
+  EXPECT_EQ(message_count(work), core::exact_syrk_volume(pattern, t, k));
 }
 
 TEST(SyrkWorkload, LoadTasksAreFree) {

@@ -475,9 +475,7 @@ int cmd_simulate(int argc, char** argv) {
   parser.add("collective", "p2p", "tile multicast: p2p | tree | chain");
   parser.add("chunks", "4", "chunks per tile (chain collective only)");
   parser.add("workload-mode", "auto",
-             "task DAG: auto | materialized | implicit (auto materializes "
-             "small runs, switches to the on-demand generator past ~4M tasks)");
-  parser.add("queue", "calendar", "event queue: calendar | heap");
+             "task DAG: auto | implicit (both name the on-demand generator)");
   parser.add("trace", "", "write a Chrome trace_event JSON timeline here");
   parser.add("metrics", "", "write a CSV metrics summary here");
   parser.add("faults", "",
@@ -508,16 +506,8 @@ int cmd_simulate(int argc, char** argv) {
   machine.collective.algorithm = comm::parse_algorithm(parser.get("collective"));
   machine.collective.chain_chunks = parser.get_int("chunks");
   const bool symmetric = kernel != core::Kernel::kLu;
-  const std::int64_t estimated_tasks = sim::estimated_task_count(symmetric, t);
-  machine.workload_mode =
-      sim::choose_workload_mode(parser.get("workload-mode"), estimated_tasks);
-  machine.event_queue = sim::parse_event_queue_mode(parser.get("queue"));
-  if (machine.workload_mode == sim::WorkloadMode::kMaterialized &&
-      estimated_tasks > sim::kMaterializeTaskLimit)
-    std::fprintf(stderr,
-                 "warning: materializing ~%lld tasks; --workload-mode "
-                 "implicit keeps only the ready frontier in memory\n",
-                 static_cast<long long>(estimated_tasks));
+  machine.workload_mode = sim::choose_workload_mode(
+      parser.get("workload-mode"), sim::estimated_task_count(symmetric, t));
   if (!parser.get("faults").empty())
     machine.faults = fault::parse_fault_spec(parser.get("faults"));
   const std::string trace_path = parser.get("trace");
@@ -590,10 +580,7 @@ int cmd_simulate(int argc, char** argv) {
                 static_cast<long long>(dist.base_nodes()),
                 static_cast<long long>(memory_factor),
                 static_cast<long long>(volume()), io_bound);
-  std::printf("  workload      %s (%lld tasks, frontier peak %lld)\n",
-              machine.workload_mode == sim::WorkloadMode::kImplicit
-                  ? "implicit"
-                  : "materialized",
+  std::printf("  workload      implicit (%lld tasks, frontier peak %lld)\n",
               static_cast<long long>(report.tasks),
               static_cast<long long>(report.frontier_peak));
   {
