@@ -70,7 +70,17 @@ struct ReadyLater {
 class MaterializedModel {
  public:
   MaterializedModel(Workload work, std::int64_t nodes)
-      : work_(std::move(work)), nodes_(nodes) {}
+      : work_(std::move(work)),
+        nodes_(nodes),
+        inflight_(work_.instances.size(), 0) {
+    group_base_.reserve(work_.instances.size());
+    std::size_t groups = 0;
+    for (const Instance& instance : work_.instances) {
+      group_base_.push_back(groups);
+      groups += instance.groups.size();
+    }
+    arrived_.assign(groups, 0);
+  }
 
   [[nodiscard]] std::int64_t task_count() const { return work_.task_count(); }
   [[nodiscard]] double total_flops() const { return work_.total_flops; }
@@ -117,6 +127,13 @@ class MaterializedModel {
   }
   void release(std::int64_t) {}
 
+  std::int32_t& inflight(InstanceHandle handle) {
+    return inflight_[index(handle)];
+  }
+  std::int32_t& chunks_arrived(InstanceHandle handle, std::int64_t g) {
+    return arrived_[group_base_[index(handle)] + static_cast<std::size_t>(g)];
+  }
+
   static std::int32_t producer_node(InstanceHandle handle) {
     return handle->producer_node;
   }
@@ -134,8 +151,15 @@ class MaterializedModel {
   }
 
  private:
+  [[nodiscard]] std::size_t index(InstanceHandle handle) const {
+    return static_cast<std::size_t>(handle - work_.instances.data());
+  }
+
   Workload work_;
   std::int64_t nodes_;
+  std::vector<std::int32_t> inflight_;  ///< per instance
+  std::vector<std::size_t> group_base_;  ///< per instance: first arrived_ entry
+  std::vector<std::int32_t> arrived_;    ///< per (instance, group): chunks
 };
 
 /// The event loop, templated over the DAG representation (Model) so the
@@ -304,7 +328,7 @@ class SimulatorCore {
           for (std::int64_t g = 0; g < groups; ++g) {
             const std::int32_t dst = Model::group_node(handle, g);
             if (dst == task.node) continue;
-            send_tile(task.node, dst, task.publishes,
+            send_tile(handle, task.node, dst, task.publishes,
                       static_cast<std::int32_t>(g), 0, machine_.tile_bytes());
           }
           break;
@@ -322,7 +346,7 @@ class SimulatorCore {
           const std::int32_t head =
               Model::group_node(handle, remotes_[0]);
           for (std::int64_t chunk = 0; chunk < chain_chunks(); ++chunk) {
-            send_tile(task.node, head, task.publishes, remotes_[0],
+            send_tile(handle, task.node, head, task.publishes, remotes_[0],
                       static_cast<std::int32_t>(chunk), chunk_bytes());
           }
           break;
@@ -330,8 +354,7 @@ class SimulatorCore {
       }
       // No pending transfer references the instance (e.g. every consumer
       // was local): the model can reclaim it right away.
-      if (inflight_.find(task.publishes) == nullptr)
-        model_.release(task.publishes);
+      if (model_.inflight(handle) == 0) model_.release(task.publishes);
     }
   }
 
@@ -367,26 +390,16 @@ class SimulatorCore {
       if (child >= m) break;
       const std::int32_t group_index =
           remotes_[static_cast<std::size_t>(child - 1)];
-      send_tile(from_node, Model::group_node(handle, group_index),
+      send_tile(handle, from_node, Model::group_node(handle, group_index),
                 instance_id, group_index, 0, machine_.tile_bytes());
     }
   }
 
-  /// Counts one more pending transfer event (arrival or retransmit)
-  /// referencing `instance`.
-  void ref_instance(std::int64_t instance) {
-    ++inflight_.at_or_insert(instance, 0);
-  }
-
   /// A pending transfer event referencing `instance` was consumed; when the
-  /// last one goes, the model reclaims the instance (implicit mode recycles
+  /// last one goes, the model reclaims the instance (the generators recycle
   /// its group state — the mechanism that keeps memory at the frontier).
-  void unref_instance(std::int64_t instance) {
-    std::int64_t* refs = inflight_.find(instance);
-    if (--*refs == 0) {
-      inflight_.erase(instance);
-      model_.release(instance);
-    }
+  void unref_instance(InstanceHandle handle, std::int64_t instance) {
+    if (--model_.inflight(handle) == 0) model_.release(instance);
   }
 
   /// Schedules one transfer of `bytes` src -> dst; links serialize
@@ -397,9 +410,12 @@ class SimulatorCore {
   /// counters and the kSimTransfer event, so report_.messages keeps
   /// matching the closed forms under faults.  Retransmissions (attempt > 0)
   /// occupy the wire all the same but count only in the fault stats.
-  void send_tile(std::int32_t src, std::int32_t dst, std::int64_t instance,
-                 std::int32_t group, std::int32_t chunk, double bytes,
-                 std::int32_t attempt = 0) {
+  ///
+  /// Every arrival and retransmit event it pushes counts as one pending
+  /// transfer of the instance (Model::inflight).
+  void send_tile(InstanceHandle handle, std::int32_t src, std::int32_t dst,
+                 std::int64_t instance, std::int32_t group,
+                 std::int32_t chunk, double bytes, std::int32_t attempt = 0) {
     fault::Fate fate;
     if (injector_.message_faults())
       fate = injector_.fate_of(src, dst, instance,
@@ -457,7 +473,7 @@ class SimulatorCore {
       injector_.note_timeout_wait();
       const double timeout = machine_.faults.recv_timeout_ms * 1e-3 *
                              std::pow(2.0, static_cast<double>(attempt));
-      ref_instance(instance);
+      ++model_.inflight(handle);
       push_event(end + machine_.latency_seconds() + timeout,
                  Event::Kind::kRetransmit, instance, group, chunk, src,
                  attempt + 1);
@@ -469,13 +485,13 @@ class SimulatorCore {
       record_fault(src, "delay", src, dst, instance);
       extra = fate.delay_seconds;
     }
-    ref_instance(instance);
+    ++model_.inflight(handle);
     push_event(end + machine_.latency_seconds() + extra, Event::Kind::kArrival,
                instance, group, chunk, src);
     if (fate.duplicated) {
       injector_.note_duplicate();
       record_fault(src, "duplicate", src, dst, instance);
-      ref_instance(instance);
+      ++model_.inflight(handle);
       push_event(end + machine_.latency_seconds() + extra,
                  Event::Kind::kArrival, instance, group, chunk, src, attempt,
                  /*duplicate=*/true);
@@ -494,9 +510,9 @@ class SimulatorCore {
         machine_.collective.algorithm == comm::Algorithm::kPipelinedChain
             ? chunk_bytes()
             : machine_.tile_bytes();
-    send_tile(event.src, dst, event.a, event.b, event.c, bytes,
+    send_tile(handle, event.src, dst, event.a, event.b, event.c, bytes,
               event.attempt);
-    unref_instance(event.a);
+    unref_instance(handle, event.a);
   }
 
   /// Records a fault/recovery event on a node track (virtual time; the
@@ -536,7 +552,7 @@ class SimulatorCore {
       // waiters, relay chain chunks, or bump the chunk counter.
       injector_.note_dedup_discard();
       record_fault(group_node, "dedup", event.src, group_node, instance_id);
-      unref_instance(instance_id);
+      unref_instance(handle, instance_id);
       return;
     }
     switch (machine_.collective.algorithm) {
@@ -564,15 +580,10 @@ class SimulatorCore {
         if (position < static_cast<std::int64_t>(remotes_.size())) {
           const std::int32_t next =
               remotes_[static_cast<std::size_t>(position)];
-          send_tile(group_node, Model::group_node(handle, next), instance_id,
-                    next, chunk, chunk_bytes());
+          send_tile(handle, group_node, Model::group_node(handle, next),
+                    instance_id, next, chunk, chunk_bytes());
         }
-        // Chunk counters key by (instance, group); entries are erased once
-        // the tile completes, so the map tracks in-flight tiles only.
-        const std::int64_t key = instance_id * machine_.nodes + group_index;
-        std::int64_t& arrived = chain_arrived_.at_or_insert(key, 0);
-        if (++arrived == chain_chunks()) {
-          chain_arrived_.erase(key);
+        if (++model_.chunks_arrived(handle, group_index) == chain_chunks()) {
           Model::for_each_waiter(
               handle, group_index,
               [&](std::int64_t waiter) { satisfy(waiter, now_); });
@@ -580,7 +591,7 @@ class SimulatorCore {
         break;
       }
     }
-    unref_instance(instance_id);
+    unref_instance(handle, instance_id);
   }
 
   Model& model_;
@@ -602,13 +613,10 @@ class SimulatorCore {
   /// Decoded views of ready and running tasks, by slot (ReadyEntry::slot,
   /// then Event::b of the finish event): a generator decodes each task
   /// once, when it becomes ready, not again when it starts or finishes.
-  RecyclingPool<TaskView> views_;
+  /// No view reference outlives an acquire(), so vector storage is safe.
+  RecyclingPool<TaskView, std::vector<TaskView>> views_;
   std::vector<double> out_free_;
   std::vector<double> in_free_;
-  /// Chunks arrived so far per (instance, group), chain mode only.
-  FlatMap64 chain_arrived_;
-  /// Pending transfer events per instance; zero => the model may reclaim.
-  FlatMap64 inflight_;
   /// Scratch for remote_groups() (cleared per use, allocated once).
   std::vector<std::int32_t> remotes_;
   /// Per-node trace tracks (empty when machine_.recorder is null).

@@ -43,9 +43,9 @@ struct SimReport {
   /// the event loop (the BENCH_sim.json axes).
   double build_seconds = 0.0;
   double run_seconds = 0.0;
-  /// Peak resident DAG state: the generators report their frontier (lazy
-  /// dep counters + in-flight instances); simulate(Workload) reports the
-  /// full task count, since everything stays resident.
+  /// Peak resident DAG state: the generators report their frontier (tasks
+  /// satisfied but not yet ready + in-flight instances); simulate(Workload)
+  /// reports the full task count, since everything stays resident.
   std::int64_t frontier_peak = 0;
 
   [[nodiscard]] double total_gflops() const {

@@ -22,19 +22,22 @@ namespace anyblock::sim {
 
 /// One pending simulator event.  `a` holds a task or instance ordinal and
 /// must be 64-bit: implicit workloads pass ordinals past 2^31 (LU with
-/// t >= ~1700 has more than INT32_MAX tasks).
+/// t >= ~1700 has more than INT32_MAX tasks).  Fields are ordered widest
+/// first so the event packs into 48 bytes (the calendar moves them by
+/// value on every insert).
 struct Event {
   double time = 0.0;
-  enum class Kind : std::uint8_t { kTaskFinish, kArrival, kRetransmit } kind =
-      Kind::kTaskFinish;
   std::int64_t a = 0;         ///< task ordinal (finish) or instance ordinal
+  std::uint64_t sequence = 0; ///< deterministic FIFO tie-break
   std::int32_t b = 0;         ///< group index (arrival), task slot (finish)
   std::int32_t c = 0;         ///< chunk index (pipelined-chain arrivals)
   std::int32_t src = -1;      ///< sending node (arrival/retransmit)
   std::int32_t attempt = 0;   ///< transmission attempt (retransmit)
+  enum class Kind : std::uint8_t { kTaskFinish, kArrival, kRetransmit } kind =
+      Kind::kTaskFinish;
   bool duplicate = false;     ///< injected duplicate copy (arrival)
-  std::uint64_t sequence = 0; ///< deterministic FIFO tie-break
 };
+static_assert(sizeof(Event) == 48, "Event grew past 48 bytes");
 
 /// Strict weak order "x fires after y": earlier time wins, then the lower
 /// push sequence.  The calendar's in-bucket sort uses this functor.

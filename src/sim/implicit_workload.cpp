@@ -11,6 +11,12 @@ ImplicitWorkload::ImplicitWorkload(std::int64_t t, std::int64_t k,
     throw std::invalid_argument("tile grids must be positive");
   task_count_ = t * k + k * (t * (t + 1) / 2);
   instance_count_ = t * k;
+  // Dependency blocks: the updates of each A column (the loads before
+  // them are ready at once).  Instance blocks: the k loads of each A row.
+  for (std::int64_t l = 0; l <= k; ++l)
+    task_base_.push_back(syrk_row(l, 0));
+  for (std::int64_t i = 0; i <= t; ++i) inst_base_.push_back(i * k);
+  reset_blocks();
   total_flops_ =
       static_cast<double>(k) *
       (static_cast<double>(t) * machine.task_flops(TaskType::kSyrk) +
@@ -36,6 +42,17 @@ std::int32_t ImplicitWorkload::initial_deps(std::int64_t id) const {
   const Decoded task = decode(id);
   if (task.type == TaskType::kLoad) return 0;
   return (task.type == TaskType::kSyrk ? 1 : 2) + (task.l > 0 ? 1 : 0);
+}
+
+void ImplicitWorkload::fill_deps(std::int64_t l,
+                                 std::vector<std::uint8_t>& counts) const {
+  // Row i of the block: SYRK(i, i), then GEMM(i, 0 .. i - 1).
+  const int chain = l > 0 ? 1 : 0;
+  for (std::int64_t i = 0; i < t_; ++i) {
+    counts.push_back(static_cast<std::uint8_t>(1 + chain));
+    counts.insert(counts.end(), static_cast<std::size_t>(i),
+                  static_cast<std::uint8_t>(2 + chain));
+  }
 }
 
 TaskView ImplicitWorkload::task(std::int64_t id) const {

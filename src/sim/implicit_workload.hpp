@@ -14,12 +14,17 @@
 //     through sim::simulate gives a bit-identical trajectory — the
 //     equivalence tests hold makespans, message counts and obs metric rows
 //     equal.
-//   * Dependency counters live in a FlatMap64 *frontier*, created lazily on
-//     first satisfaction and erased on readiness: O(active tiles), not
-//     O(total tasks).
+//   * Dependency counters live in a dense *frontier*: ordinals are
+//     numbered iteration by iteration, so each iteration's counters form
+//     one block (BlockTable, sim/pool.hpp), filled from the closed forms
+//     when any of its tasks is first satisfied and recycled once all of
+//     them are ready.  A satisfy is a block lookup and one byte decrement;
+//     only the few iterations in flight hold a block, O(t^2) each.
 //   * Published-instance consumer groups are generated when the producer
 //     finishes and recycled (RecyclingPool) once every remote copy is
-//     delivered, so instance state is bounded by in-flight communication.
+//     delivered, so instance state is bounded by in-flight communication;
+//     instance ordinals map to pool slots through the same per-iteration
+//     blocks.
 //
 // Peak memory is O(t^2); the Cholesky acceptance run (P = 4096, t = 2048,
 // 1.4e9 tasks) fits in a few hundred MB.
@@ -30,6 +35,7 @@
 // one-layer case is the 2D schedule.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -59,6 +65,7 @@ struct TaskView {
 /// InstanceGroup; waiter ordinals in construction order).
 struct ImplicitGroup {
   std::int32_t node = -1;
+  std::int32_t arrived = 0;  ///< chunks delivered so far (pipelined chain)
   std::vector<std::int64_t> waiters;
 };
 
@@ -66,6 +73,7 @@ struct ImplicitGroup {
 struct ImplicitInstance {
   std::int32_t producer_node = -1;
   std::int32_t used_groups = 0;  ///< live prefix of `groups`
+  std::int32_t inflight = 0;     ///< engine's pending transfer events
   std::vector<ImplicitGroup> groups;
 };
 
@@ -80,43 +88,52 @@ inline std::int64_t triangular_row(std::int64_t s) {
   return d;
 }
 
-/// The lazy dependency frontier and the pooled published-instance state
-/// every implicit generator shares.  `Derived` supplies the closed-form
-/// `initial_deps(id)` and builds consumer groups through begin_instance /
+/// The dense dependency frontier and the pooled published-instance state
+/// every implicit generator shares.  The derived constructor fills
+/// task_base_ and inst_base_ (the first ordinal of each iteration block,
+/// plus the end) and calls reset_blocks(); `Derived` supplies
+/// `fill_deps(l, counts)`, which appends the closed-form unmet-dependency
+/// counts of block l, and builds consumer groups through begin_instance /
 /// add_consumer when the engine publishes an instance.
 template <class Derived>
 class ImplicitFrontier {
  public:
-  using InstanceHandle = const ImplicitInstance*;
+  using InstanceHandle = ImplicitInstance*;
 
   /// One dependency of `id` satisfied; true when the task became ready.
-  /// The counter is created from the closed-form dependency count on first
-  /// touch and erased when it reaches zero.
+  /// The task's block is filled from the closed forms on the first
+  /// satisfy of any task in it; the untouched bit makes the task count as
+  /// a live frontier entry from its own first satisfy until it is ready.
   bool satisfy(std::int64_t id) {
-    std::int64_t& deps = deps_.at_or_insert(id, -1);
-    if (deps < 0) deps = static_cast<const Derived&>(*this).initial_deps(id);
-    if (--deps == 0) {
-      deps_.erase(id);
-      return true;
+    const std::int64_t l = iteration_of(id);
+    std::vector<std::uint8_t>* counts = deps_.find(l);
+    if (counts == nullptr) counts = &open_deps(l);
+    std::uint8_t& deps =
+        (*counts)[static_cast<std::size_t>(id - iteration_begin(l))];
+    if ((deps & kUntouched) != 0) {
+      deps &= static_cast<std::uint8_t>(~kUntouched);
+      if (++live_deps_ > deps_peak_) deps_peak_ = live_deps_;
     }
-    return false;
+    if (--deps != 0) return false;
+    --live_deps_;
+    deps_.retire(l);
+    return true;
   }
 
   /// Looks up a published-but-undelivered instance.
   [[nodiscard]] InstanceHandle instance(std::int64_t instance_id) {
-    const std::int64_t* slot = live_.find(instance_id);
-    if (slot == nullptr)
-      throw std::logic_error("implicit instance not in flight");
-    return &pool_[*slot];
+    return &pool_[slot_of(block_of(inst_base_, instance_id), instance_id,
+                          "implicit instance not in flight")];
   }
 
   /// Recycles the instance once the engine saw every remote delivery.
   void release(std::int64_t instance_id) {
-    const std::int64_t* slot = live_.find(instance_id);
-    if (slot == nullptr)
-      throw std::logic_error("releasing an instance that is not in flight");
-    pool_.release(*slot);
-    live_.erase(instance_id);
+    const std::int64_t l = block_of(inst_base_, instance_id);
+    std::int32_t& slot = slot_of(
+        l, instance_id, "releasing an instance that is not in flight");
+    pool_.release(slot);
+    slot = kNoSlot;
+    slots_.retire(l);
     --live_count_;
   }
 
@@ -135,24 +152,72 @@ class ImplicitFrontier {
          handle->groups[static_cast<std::size_t>(g)].waiters)
       f(waiter);
   }
+  /// Pending transfer events of the instance (the engine's refcount).
+  static std::int32_t& inflight(InstanceHandle handle) {
+    return handle->inflight;
+  }
+  /// Chunks of the instance delivered to group g (pipelined chain).
+  static std::int32_t& chunks_arrived(InstanceHandle handle, std::int64_t g) {
+    return handle->groups[static_cast<std::size_t>(g)].arrived;
+  }
 
   /// Peak live frontier entries + in-flight instances, for BENCH_sim.json
   /// and the obs per-phase metrics.
   [[nodiscard]] std::int64_t frontier_peak() const {
-    return static_cast<std::int64_t>(deps_.peak_size()) + live_peak_;
+    return deps_peak_ + live_peak_;
+  }
+  /// Live frontier entries: tasks satisfied at least once, not yet ready.
+  [[nodiscard]] std::int64_t frontier_size() const { return live_deps_; }
+  /// Iteration blocks (dependency counters and instance slots) in use.
+  [[nodiscard]] std::int64_t live_blocks() const {
+    return deps_.live() + slots_.live();
+  }
+
+  /// Dependency blocks: iteration l holds task ordinals
+  /// [iteration_begin(l), iteration_begin(l + 1)); ordinals below
+  /// iteration_begin(0) are initially ready and never satisfied.
+  [[nodiscard]] std::int64_t iterations() const {
+    return static_cast<std::int64_t>(task_base_.size()) - 1;
+  }
+  [[nodiscard]] std::int64_t iteration_begin(std::int64_t l) const {
+    return task_base_[static_cast<std::size_t>(l)];
+  }
+  /// Block of task ordinal `id` (-1 below the first block).
+  [[nodiscard]] std::int64_t iteration_of(std::int64_t id) const {
+    return block_of(task_base_, id);
   }
 
  protected:
+  /// Sizes the block tables; the derived constructor calls it once
+  /// task_base_ and inst_base_ are filled.
+  void reset_blocks() {
+    deps_.reset(iterations());
+    slots_.reset(static_cast<std::int64_t>(inst_base_.size()) - 1);
+  }
+
   /// Takes a pooled instance for `instance_id` with no consumer groups.
   ImplicitInstance& begin_instance(std::int64_t instance_id,
                                    std::int32_t producer) {
+    const std::int64_t l = block_of(inst_base_, instance_id);
+    std::vector<std::int32_t>* slots = slots_.find(l);
+    if (slots == nullptr) {
+      slots = &slots_.open(l, [&](std::vector<std::int32_t>& entries) {
+        const std::int64_t size = inst_base_[static_cast<std::size_t>(l) + 1] -
+                                  inst_base_[static_cast<std::size_t>(l)];
+        entries.assign(static_cast<std::size_t>(size), kNoSlot);
+        return size;  // every instance is published and released once
+      });
+    }
     const std::int64_t slot = pool_.acquire();
-    live_.at_or_insert(instance_id, slot) = slot;
+    (*slots)[static_cast<std::size_t>(
+        instance_id - inst_base_[static_cast<std::size_t>(l)])] =
+        static_cast<std::int32_t>(slot);
     ++live_count_;
     if (live_count_ > live_peak_) live_peak_ = live_count_;
     ImplicitInstance& state = pool_[slot];
     state.producer_node = producer;
     state.used_groups = 0;
+    state.inflight = 0;
     return state;
   }
 
@@ -174,14 +239,63 @@ class ImplicitFrontier {
     ImplicitGroup& group =
         state.groups[static_cast<std::size_t>(state.used_groups++)];
     group.node = node;
+    group.arrived = 0;
     group.waiters.clear();
     group.waiters.push_back(waiter);
   }
 
+  /// First task (instance) ordinal of each iteration block, then the end.
+  std::vector<std::int64_t> task_base_;
+  std::vector<std::int64_t> inst_base_;
+
  private:
-  FlatMap64 deps_;  ///< task ordinal -> unmet dependencies (the frontier)
-  FlatMap64 live_;  ///< instance ordinal -> pool slot
+  /// Set on every nonzero count until the task's first satisfy.
+  static constexpr std::uint8_t kUntouched = 0x80;
+  static constexpr std::int32_t kNoSlot = -1;
+
+  static std::int64_t block_of(const std::vector<std::int64_t>& base,
+                               std::int64_t ordinal) {
+    return (std::upper_bound(base.begin(), base.end(), ordinal) -
+            base.begin()) -
+           1;
+  }
+
+  std::vector<std::uint8_t>& open_deps(std::int64_t l) {
+    return deps_.open(l, [&](std::vector<std::uint8_t>& counts) {
+      static_cast<const Derived&>(*this).fill_deps(l, counts);
+      if (static_cast<std::int64_t>(counts.size()) !=
+          iteration_begin(l + 1) - iteration_begin(l))
+        throw std::logic_error("dependency block of the wrong size");
+      std::int64_t pending = 0;  // tasks that still become ready
+      for (std::uint8_t& deps : counts) {
+        if (deps == 0) continue;
+        deps |= kUntouched;
+        ++pending;
+      }
+      return pending;
+    });
+  }
+
+  /// Pool slot of a published-but-unreleased instance of block l; throws
+  /// `missing` otherwise.
+  std::int32_t& slot_of(std::int64_t l, std::int64_t instance_id,
+                        const char* missing) {
+    std::vector<std::int32_t>* slots =
+        l < 0 || l >= static_cast<std::int64_t>(inst_base_.size()) - 1
+            ? nullptr
+            : slots_.find(l);
+    if (slots == nullptr) throw std::logic_error(missing);
+    std::int32_t& slot = (*slots)[static_cast<std::size_t>(
+        instance_id - inst_base_[static_cast<std::size_t>(l)])];
+    if (slot == kNoSlot) throw std::logic_error(missing);
+    return slot;
+  }
+
+  BlockTable<std::uint8_t> deps_;    ///< unmet dependencies (the frontier)
+  BlockTable<std::int32_t> slots_;   ///< instance -> pool slot
   RecyclingPool<ImplicitInstance> pool_;
+  std::int64_t live_deps_ = 0;
+  std::int64_t deps_peak_ = 0;
   std::int64_t live_count_ = 0;
   std::int64_t live_peak_ = 0;
 };
@@ -218,6 +332,9 @@ class ImplicitWorkload : public ImplicitFrontier<ImplicitWorkload> {
 
   /// Closed-form unmet-dependency count at creation (public for tests).
   [[nodiscard]] std::int32_t initial_deps(std::int64_t id) const;
+  /// Appends initial_deps of every task in dependency block l (A column
+  /// l's updates), in ordinal order.
+  void fill_deps(std::int64_t l, std::vector<std::uint8_t>& counts) const;
 
  private:
   struct Decoded {

@@ -1,15 +1,19 @@
-// Allocation helpers for the 100x-scale simulator hot path.
+// Allocation helpers for the simulator hot path.
 //
 //   * RecyclingPool<T>: slot pool with a free list.  Released objects keep
-//     their heap allocations (a recycled InstanceState reuses its group and
-//     waiter vectors' capacity), so steady-state publish/release cycles of
-//     the implicit workload allocate nothing.
-//   * FlatMap64: open-addressing hash map from int64 keys to int64 values
-//     with linear probing and backward-shift deletion.  This is the
-//     implicit DAG's frontier (task ordinal -> unmet dependencies): it sees
-//     roughly three operations per task — billions per run — where the
-//     node-based std::unordered_map's allocation-per-insert and pointer
-//     chasing would dominate the whole simulation.
+//     their heap allocations (a recycled ImplicitInstance reuses its group
+//     and waiter vectors' capacity), so steady-state publish/release cycles
+//     of the implicit workloads allocate nothing.
+//   * BlockTable<T>: per-iteration arrays of T.  The implicit DAGs number
+//     their tasks and published instances iteration by iteration, so the
+//     state of one ordinal is an offset into its iteration's block.  A
+//     block is opened when its iteration is first touched and goes back to
+//     a spare list once every entry in it has retired; only the few
+//     iterations in flight hold a block, so memory stays O(live iterations
+//     x t^2) and never scales with the total task count.  This is the
+//     implicit DAG's frontier (dependency counters and instance slots): it
+//     sees about three operations per task, so a lookup is one index, with
+//     no hashing or probing.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,9 @@ namespace anyblock::sim {
 /// Pool of reusable T slots addressed by a dense index.  acquire() prefers
 /// recycled slots; release() never destroys the object, so T's internal
 /// buffers survive for the next acquire (callers re-initialize logically).
-template <class T>
+/// The default deque storage keeps references valid across acquire();
+/// std::vector storage is faster where no reference outlives one.
+template <class T, class Storage = std::deque<T>>
 class RecyclingPool {
  public:
   std::int64_t acquire() {
@@ -49,116 +55,72 @@ class RecyclingPool {
   }
 
  private:
-  std::deque<T> slots_;  // deque: references stay valid across acquire()
+  Storage slots_;
   std::vector<std::int64_t> free_;
 };
 
-/// Open-addressing int64 -> int64 map.  Keys must be non-negative (the
-/// empty slot marker is -1); the table grows at 70% load and never shrinks
-/// within a run — peak size is the DAG frontier, O(t^2), not O(t^3).
-class FlatMap64 {
+/// One array of T per iteration, present only while the iteration is in
+/// flight.  open() fills a block and sets how many of its entries must
+/// retire before it is recycled.  Blocks are recycled vectors sized
+/// exactly to their iteration, so callers index them with operator[]
+/// (checked under _GLIBCXX_ASSERTIONS); a block reference stays valid
+/// until the next open().
+template <class T>
+class BlockTable {
  public:
-  FlatMap64() { reset(kMinSlots); }
-
-  /// Returns a reference to the value for `key`, inserting `missing` first
-  /// when absent.
-  std::int64_t& at_or_insert(std::int64_t key, std::int64_t missing) {
-    if ((size_ + 1) * 10 > slots_.size() * 7) grow();
-    std::size_t slot = probe_start(key);
-    while (true) {
-      Slot& entry = slots_[slot];
-      if (entry.key == key) return entry.value;
-      if (entry.key == kEmpty) {
-        entry.key = key;
-        entry.value = missing;
-        ++size_;
-        if (size_ > peak_) peak_ = size_;
-        return entry.value;
-      }
-      slot = (slot + 1) & mask_;
-    }
+  /// Forgets every block; iterations are numbered [0, iterations).
+  void reset(std::int64_t iterations) {
+    slot_.assign(static_cast<std::size_t>(iterations), kNone);
   }
 
-  /// Pointer to the value for `key`, or nullptr when absent.
-  std::int64_t* find(std::int64_t key) {
-    std::size_t slot = probe_start(key);
-    while (true) {
-      Slot& entry = slots_[slot];
-      if (entry.key == key) return &entry.value;
-      if (entry.key == kEmpty) return nullptr;
-      slot = (slot + 1) & mask_;
-    }
+  /// Block of iteration l, or nullptr when it holds none.
+  std::vector<T>* find(std::int64_t l) {
+    const std::int32_t slot = slot_[static_cast<std::size_t>(l)];
+    return slot == kNone ? nullptr : &blocks_[static_cast<std::size_t>(slot)];
   }
 
-  /// Removes `key` (which must be present), backward-shifting the probe
-  /// chain so lookups never need tombstones.
-  void erase(std::int64_t key) {
-    std::size_t slot = probe_start(key);
-    while (slots_[slot].key != key) slot = (slot + 1) & mask_;
-    std::size_t hole = slot;
-    std::size_t next = hole;
-    while (true) {
-      next = (next + 1) & mask_;
-      const Slot& candidate = slots_[next];
-      if (candidate.key == kEmpty) break;
-      const std::size_t ideal = probe_start(candidate.key);
-      // Move the candidate back iff its ideal slot lies outside the cyclic
-      // interval (hole, next] — i.e. the hole sits on its probe path.
-      const bool on_path = next >= hole ? (ideal <= hole || ideal > next)
-                                        : (ideal <= hole && ideal > next);
-      if (on_path) {
-        slots_[hole] = candidate;
-        hole = next;
-      }
+  /// Opens iteration l's block: `fill(block)` appends its entries to the
+  /// empty (recycled) vector and returns how many must retire before the
+  /// block goes back to the spare list.
+  template <class Fill>
+  std::vector<T>& open(std::int64_t l, Fill&& fill) {
+    std::int32_t slot;
+    if (spare_.empty()) {
+      slot = static_cast<std::int32_t>(blocks_.size());
+      blocks_.emplace_back();
+      pending_.push_back(0);
+    } else {
+      slot = spare_.back();
+      spare_.pop_back();
     }
-    slots_[hole].key = kEmpty;
-    --size_;
+    std::vector<T>& block = blocks_[static_cast<std::size_t>(slot)];
+    block.clear();
+    pending_[static_cast<std::size_t>(slot)] = fill(block);
+    slot_[static_cast<std::size_t>(l)] = slot;
+    ++live_;
+    return block;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t peak_size() const { return peak_; }
+  /// One entry of iteration l retired; the last one recycles the block.
+  void retire(std::int64_t l) {
+    std::int32_t& slot = slot_[static_cast<std::size_t>(l)];
+    if (--pending_[static_cast<std::size_t>(slot)] > 0) return;
+    spare_.push_back(slot);
+    slot = kNone;
+    --live_;
+  }
+
+  /// Iterations currently holding a block.
+  [[nodiscard]] std::int64_t live() const { return live_; }
 
  private:
-  static constexpr std::int64_t kEmpty = -1;
-  static constexpr std::size_t kMinSlots = 64;
+  static constexpr std::int32_t kNone = -1;
 
-  struct Slot {
-    std::int64_t key = kEmpty;
-    std::int64_t value = 0;
-  };
-
-  [[nodiscard]] std::size_t probe_start(std::int64_t key) const {
-    // splitmix64 finalizer: full avalanche so sequential ordinals spread.
-    auto x = static_cast<std::uint64_t>(key);
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & mask_;
-  }
-
-  void reset(std::size_t slots) {
-    slots_.assign(slots, Slot{});
-    mask_ = slots - 1;
-    size_ = 0;
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    reset(old.size() * 2);
-    for (const Slot& entry : old) {
-      if (entry.key == kEmpty) continue;
-      std::size_t slot = probe_start(entry.key);
-      while (slots_[slot].key != kEmpty) slot = (slot + 1) & mask_;
-      slots_[slot] = entry;
-      ++size_;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-  std::size_t peak_ = 0;
+  std::vector<std::int32_t> slot_;     ///< iteration -> block, or kNone
+  std::vector<std::vector<T>> blocks_;
+  std::vector<std::int64_t> pending_;  ///< per block: entries yet to retire
+  std::vector<std::int32_t> spare_;
+  std::int64_t live_ = 0;
 };
 
 }  // namespace anyblock::sim

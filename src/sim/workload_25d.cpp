@@ -1,7 +1,5 @@
 #include "sim/workload_25d.hpp"
 
-#include <algorithm>
-
 namespace anyblock::sim {
 
 Implicit25dWorkload::Implicit25dWorkload(
@@ -55,11 +53,7 @@ Implicit25dWorkload::Implicit25dWorkload(
   inst_base_[static_cast<std::size_t>(t)] = insts;
   task_count_ = tasks;
   instance_count_ = insts;
-}
-
-std::int64_t Implicit25dWorkload::iteration_of(std::int64_t id) const {
-  const auto it = std::upper_bound(task_base_.begin(), task_base_.end(), id);
-  return (it - task_base_.begin()) - 1;
+  reset_blocks();
 }
 
 Implicit25dWorkload::Decoded Implicit25dWorkload::decode(
@@ -123,6 +117,37 @@ std::int32_t Implicit25dWorkload::initial_deps(std::int64_t id) const {
       break;
   }
   throw std::logic_error("unreachable 2.5D task type");
+}
+
+void Implicit25dWorkload::fill_deps(std::int64_t l,
+                                    std::vector<std::uint8_t>& counts) const {
+  // The same counts as initial_deps, a segment at a time.
+  const auto fill = [&](std::int64_t n, std::int64_t deps) {
+    counts.insert(counts.end(), static_cast<std::size_t>(n),
+                  static_cast<std::uint8_t>(deps));
+  };
+  const std::int64_t k = t_ - 1 - l;
+  const std::int64_t chain = l >= layers_ ? 1 : 0;  // home-layer writer
+  fill(flush_block(l), 1);
+  if (rq(l) > 0) {
+    // Per finalized tile: the first reduce waits for its partial (and, once
+    // l >= c, the last home-layer update), later ones for a partial and
+    // the prior reduce.
+    for (std::int64_t tile = 0; tile < flush_block(l) / rq(l); ++tile) {
+      fill(1, 1 + chain);
+      fill(rq(l) - 1, 2);
+    }
+  }
+  fill(1, l > 0 ? 1 : 0);
+  fill(kernel_ == SimKernel::kLu ? 2 * k : k, l > 0 ? 2 : 1);
+  if (kernel_ == SimKernel::kLu) {
+    fill(k * k, 2 + chain);
+    return;
+  }
+  for (std::int64_t d = 0; d < k; ++d) {
+    fill(1, 1 + chain);
+    fill(d, 2 + chain);
+  }
 }
 
 TaskView Implicit25dWorkload::task(std::int64_t id) const {

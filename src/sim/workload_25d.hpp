@@ -63,6 +63,9 @@ class Implicit25dWorkload : public ImplicitFrontier<Implicit25dWorkload> {
 
   /// Closed-form unmet-dependency count at creation (public for tests).
   [[nodiscard]] std::int32_t initial_deps(std::int64_t id) const;
+  /// Appends initial_deps of every task of iteration l, in ordinal order:
+  /// one pass over the flush, reduce, panel, TRSM and update segments.
+  void fill_deps(std::int64_t l, std::vector<std::uint8_t>& counts) const;
 
  private:
   struct Decoded {
@@ -72,7 +75,6 @@ class Implicit25dWorkload : public ImplicitFrontier<Implicit25dWorkload> {
   };
 
   [[nodiscard]] Decoded decode(std::int64_t id) const;
-  [[nodiscard]] std::int64_t iteration_of(std::int64_t id) const;
 
   /// l mod c, the compute layer of iteration l (a table: the hot paths
   /// would otherwise pay an integer division per task).
@@ -146,8 +148,6 @@ class Implicit25dWorkload : public ImplicitFrontier<Implicit25dWorkload> {
   std::int64_t base_nodes_ = 0;
   const MachineConfig* machine_ = nullptr;
 
-  std::vector<std::int64_t> task_base_;
-  std::vector<std::int64_t> inst_base_;
   std::vector<std::int64_t> layer_;
   std::int64_t task_count_ = 0;
   std::int64_t instance_count_ = 0;

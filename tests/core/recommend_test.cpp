@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/block_cyclic.hpp"
 #include "core/bounds.hpp"
 #include "core/cost.hpp"
+#include "core/g2dbc.hpp"
 #include "core/sbc.hpp"
 
 namespace anyblock::core {
@@ -28,6 +30,11 @@ TEST(Recommend, LuPicksG2dbcForAwkwardCounts) {
     const Recommendation rec = recommend_pattern(P, Kernel::kLu);
     EXPECT_EQ(rec.scheme, "G-2DBC") << P;
     EXPECT_EQ(rec.pattern.num_nodes(), P);
+    // The pattern itself, not only its label: G-2DBC, strictly cheaper
+    // than the best plain 2DBC grid at these counts.
+    EXPECT_EQ(rec.pattern, make_g2dbc(P)) << P;
+    EXPECT_DOUBLE_EQ(rec.cost, lu_cost(rec.pattern)) << P;
+    EXPECT_LT(lu_cost(rec.pattern), lu_cost(best_2dbc(P))) << P;
     EXPECT_LE(rec.cost, g2dbc_cost_bound(P));
     EXPECT_FALSE(rec.rationale.empty());
   }
