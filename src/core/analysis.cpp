@@ -1,46 +1,15 @@
+// Communication profiles are filled from the shared consumer walk
+// (core/consumers.hpp), the same one behind exact_*_volume and the dist
+// multicast groups, so their totals equal the exact counters by
+// construction; tile-load statistics count owners directly.
 #include "core/analysis.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/consumers.hpp"
+
 namespace anyblock::core {
-namespace {
-
-/// Distinct-receiver counter mirroring the one in cost.cpp, but reporting
-/// the count to a per-sender/per-iteration accumulator.
-class ProfiledCounter {
- public:
-  explicit ProfiledCounter(std::int64_t num_nodes)
-      : mark_(static_cast<std::size_t>(num_nodes), 0) {}
-
-  void begin(NodeId sender) {
-    ++epoch_;
-    sender_ = sender;
-    count_ = 0;
-  }
-
-  void add(NodeId n) {
-    if (n == sender_) return;
-    auto& m = mark_[static_cast<std::size_t>(n)];
-    if (m != epoch_) {
-      m = epoch_;
-      ++count_;
-    }
-  }
-
-  void commit(CommProfile& profile, std::int64_t iteration) {
-    profile.per_iteration[static_cast<std::size_t>(iteration)] += count_;
-    profile.per_node_sent[static_cast<std::size_t>(sender_)] += count_;
-  }
-
- private:
-  std::vector<std::uint64_t> mark_;
-  std::uint64_t epoch_ = 0;
-  NodeId sender_ = Pattern::kFree;
-  std::int64_t count_ = 0;
-};
-
-}  // namespace
 
 std::int64_t CommProfile::total() const {
   std::int64_t sum = 0;
@@ -62,68 +31,39 @@ double CommProfile::sender_imbalance() const {
   return static_cast<double>(max) / mean;
 }
 
+namespace {
+
+CommProfile comm_profile(const Distribution& distribution, std::int64_t t,
+                         bool symmetric) {
+  CommProfile profile;
+  profile.per_iteration.assign(static_cast<std::size_t>(t), 0);
+  profile.per_node_sent.assign(
+      static_cast<std::size_t>(distribution.num_nodes()), 0);
+  for_each_fanout(distribution, t, symmetric,
+                  [&](std::int64_t l, NodeId producer, std::int64_t receivers) {
+                    profile.per_iteration[static_cast<std::size_t>(l)] +=
+                        receivers;
+                    profile.per_node_sent[static_cast<std::size_t>(producer)] +=
+                        receivers;
+                  });
+  return profile;
+}
+
+}  // namespace
+
 CommProfile lu_comm_profile(const Pattern& pattern, std::int64_t t) {
   if (!pattern.is_complete())
     throw std::invalid_argument("lu_comm_profile requires a complete pattern");
-  const std::int64_t r = pattern.rows();
-  const std::int64_t c = pattern.cols();
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return pattern.at(i % r, j % c);
-  };
-  CommProfile profile;
-  profile.per_iteration.assign(static_cast<std::size_t>(t), 0);
-  profile.per_node_sent.assign(static_cast<std::size_t>(pattern.num_nodes()),
-                               0);
-  ProfiledCounter counter(pattern.num_nodes());
-
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    counter.begin(owner(l, l));
-    for (std::int64_t j = l + 1; j < t && j <= l + c; ++j)
-      counter.add(owner(l, j));
-    for (std::int64_t i = l + 1; i < t && i <= l + r; ++i)
-      counter.add(owner(i, l));
-    counter.commit(profile, l);
-
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      counter.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j < t && j <= l + c; ++j)
-        counter.add(owner(i, j));
-      counter.commit(profile, l);
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      counter.begin(owner(l, j));
-      for (std::int64_t i = l + 1; i < t && i <= l + r; ++i)
-        counter.add(owner(i, j));
-      counter.commit(profile, l);
-    }
-  }
-  return profile;
+  return comm_profile(PatternDistribution(pattern, t, /*symmetric=*/false), t,
+                      /*symmetric=*/false);
 }
 
 CommProfile cholesky_comm_profile(const Pattern& pattern, std::int64_t t) {
   if (!pattern.is_square())
     throw std::invalid_argument(
         "cholesky_comm_profile requires a square pattern");
-  const PatternDistribution dist(pattern, t, /*symmetric=*/true);
-  CommProfile profile;
-  profile.per_iteration.assign(static_cast<std::size_t>(t), 0);
-  profile.per_node_sent.assign(static_cast<std::size_t>(pattern.num_nodes()),
-                               0);
-  ProfiledCounter counter(pattern.num_nodes());
-
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    counter.begin(dist.owner(l, l));
-    for (std::int64_t i = l + 1; i < t; ++i) counter.add(dist.owner(i, l));
-    counter.commit(profile, l);
-
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      counter.begin(dist.owner(i, l));
-      for (std::int64_t j = l + 1; j <= i; ++j) counter.add(dist.owner(i, j));
-      for (std::int64_t m = i; m < t; ++m) counter.add(dist.owner(m, i));
-      counter.commit(profile, l);
-    }
-  }
-  return profile;
+  return comm_profile(PatternDistribution(pattern, t, /*symmetric=*/true), t,
+                      /*symmetric=*/true);
 }
 
 LoadStats tile_load_stats(const Distribution& distribution, std::int64_t t,

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/consumers.hpp"
 #include "core/distribution.hpp"
 
 namespace anyblock::core {
@@ -29,41 +30,6 @@ double predicted_cholesky_volume(const Pattern& pattern, std::int64_t t) {
   const double sum = static_cast<double>(t) * static_cast<double>(t + 1) / 2.0;
   return sum * (cholesky_cost(pattern) - 1.0);
 }
-
-namespace {
-
-/// Distinct-node accumulator with epoch marking: clears in O(1) between
-/// queries, so the exact-volume loops stay close to linear in cells visited.
-class DistinctCounter {
- public:
-  explicit DistinctCounter(std::int64_t num_nodes)
-      : mark_(static_cast<std::size_t>(num_nodes), 0) {}
-
-  void begin(NodeId excluded) {
-    ++epoch_;
-    excluded_ = excluded;
-    count_ = 0;
-  }
-
-  void add(NodeId n) {
-    if (n == excluded_) return;
-    auto& m = mark_[static_cast<std::size_t>(n)];
-    if (m != epoch_) {
-      m = epoch_;
-      ++count_;
-    }
-  }
-
-  [[nodiscard]] std::int64_t count() const { return count_; }
-
- private:
-  std::vector<std::uint64_t> mark_;
-  std::uint64_t epoch_ = 0;
-  NodeId excluded_ = Pattern::kFree;
-  std::int64_t count_ = 0;
-};
-
-}  // namespace
 
 std::int64_t exact_lu_volume(const Pattern& pattern, std::int64_t t) {
   if (!pattern.is_complete())
@@ -112,75 +78,18 @@ std::int64_t exact_cholesky_volume(const Pattern& pattern, std::int64_t t) {
   if (!pattern.is_square())
     throw std::invalid_argument(
         "exact_cholesky_volume requires a square pattern");
-  const PatternDistribution dist(pattern, t, /*symmetric=*/true);
-  DistinctCounter distinct(pattern.num_nodes());
-  std::int64_t volume = 0;
-
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    // Diagonal tile (l, l): needed by TRSM owners on column l, below l.
-    distinct.begin(dist.owner(l, l));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(dist.owner(i, l));
-    volume += distinct.count();
-
-    // Panel tile (i, l), i > l: needed by the update owners on colrow i of
-    // the trailing matrix — GEMM(i, j) for l < j < i, SYRK(i, i), and
-    // GEMM(k, i) for k > i.  Free diagonal cells are bound per replica by
-    // the distribution, so no periodicity shortcut applies here.
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(dist.owner(i, l));
-      for (std::int64_t j = l + 1; j <= i; ++j) distinct.add(dist.owner(i, j));
-      for (std::int64_t k = i; k < t; ++k) distinct.add(dist.owner(k, i));
-      volume += distinct.count();
-    }
-  }
-  return volume;
+  return exact_cholesky_volume(
+      PatternDistribution(pattern, t, /*symmetric=*/true), t);
 }
 
 std::int64_t exact_lu_volume(const Distribution& distribution,
                              std::int64_t t) {
-  DistinctCounter distinct(distribution.num_nodes());
-  std::int64_t volume = 0;
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    distinct.begin(owner(l, l));
-    for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(l, j));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    volume += distinct.count();
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(i, j));
-      volume += distinct.count();
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      distinct.begin(owner(l, j));
-      for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, j));
-      volume += distinct.count();
-    }
-  }
-  return volume;
+  return exact_lu_messages(distribution, t, comm::CollectiveConfig{});
 }
 
 std::int64_t exact_cholesky_volume(const Distribution& distribution,
                                    std::int64_t t) {
-  DistinctCounter distinct(distribution.num_nodes());
-  std::int64_t volume = 0;
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    distinct.begin(owner(l, l));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    volume += distinct.count();
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j <= i; ++j) distinct.add(owner(i, j));
-      for (std::int64_t m = i; m < t; ++m) distinct.add(owner(m, i));
-      volume += distinct.count();
-    }
-  }
-  return volume;
+  return exact_cholesky_messages(distribution, t, comm::CollectiveConfig{});
 }
 
 double predicted_syrk_volume(const Pattern& pattern, std::int64_t t,
@@ -216,64 +125,19 @@ double predicted_gemm_volume(const Pattern& pattern, std::int64_t t,
          (lu_cost(pattern) - 2.0);
 }
 
-std::vector<std::int64_t> lu_message_profile(
-    const Distribution& distribution, std::int64_t t,
-    const comm::CollectiveConfig& config) {
-  DistinctCounter distinct(distribution.num_nodes());
-  std::vector<std::int64_t> profile(static_cast<std::size_t>(t), 0);
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-  const auto cost = [&] {
-    return comm::multicast_messages(distinct.count(), config);
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    auto& messages = profile[static_cast<std::size_t>(l)];
-    distinct.begin(owner(l, l));
-    for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(l, j));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    messages += cost();
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(i, j));
-      messages += cost();
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      distinct.begin(owner(l, j));
-      for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, j));
-      messages += cost();
-    }
-  }
-  return profile;
-}
-
-std::vector<std::int64_t> cholesky_message_profile(
-    const Distribution& distribution, std::int64_t t,
-    const comm::CollectiveConfig& config) {
-  DistinctCounter distinct(distribution.num_nodes());
-  std::vector<std::int64_t> profile(static_cast<std::size_t>(t), 0);
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-  const auto cost = [&] {
-    return comm::multicast_messages(distinct.count(), config);
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    auto& messages = profile[static_cast<std::size_t>(l)];
-    distinct.begin(owner(l, l));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    messages += cost();
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j <= i; ++j) distinct.add(owner(i, j));
-      for (std::int64_t m = i; m < t; ++m) distinct.add(owner(m, i));
-      messages += cost();
-    }
-  }
-  return profile;
-}
-
 namespace {
+
+std::vector<std::int64_t> message_profile(const Distribution& distribution,
+                                          std::int64_t t, bool symmetric,
+                                          const comm::CollectiveConfig& config) {
+  std::vector<std::int64_t> profile(static_cast<std::size_t>(t), 0);
+  for_each_fanout(distribution, t, symmetric,
+                  [&](std::int64_t l, NodeId, std::int64_t receivers) {
+                    profile[static_cast<std::size_t>(l)] +=
+                        comm::multicast_messages(receivers, config);
+                  });
+  return profile;
+}
 
 std::int64_t sum_of(const std::vector<std::int64_t>& values) {
   std::int64_t total = 0;
@@ -282,6 +146,18 @@ std::int64_t sum_of(const std::vector<std::int64_t>& values) {
 }
 
 }  // namespace
+
+std::vector<std::int64_t> lu_message_profile(
+    const Distribution& distribution, std::int64_t t,
+    const comm::CollectiveConfig& config) {
+  return message_profile(distribution, t, /*symmetric=*/false, config);
+}
+
+std::vector<std::int64_t> cholesky_message_profile(
+    const Distribution& distribution, std::int64_t t,
+    const comm::CollectiveConfig& config) {
+  return message_profile(distribution, t, /*symmetric=*/true, config);
+}
 
 std::int64_t exact_lu_messages(const Distribution& distribution,
                                std::int64_t t,
@@ -341,89 +217,43 @@ std::int64_t exact_cholesky_messages_25d(
              comm::multicast_messages(1, config);
 }
 
-std::vector<std::int64_t> lu_send_profile_25d(
-    const ReplicatedDistribution& distribution, std::int64_t t) {
+namespace {
+
+std::vector<std::int64_t> send_profile_25d(
+    const ReplicatedDistribution& distribution, std::int64_t t,
+    bool symmetric) {
   const Distribution& base = distribution.base();
-  DistinctCounter distinct(base.num_nodes());
   std::vector<std::int64_t> profile(
       static_cast<std::size_t>(distribution.num_nodes()), 0);
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return base.owner(i, j);
-  };
-  const auto credit = [&](NodeId producer, std::int64_t layer) {
-    profile[static_cast<std::size_t>(distribution.replica(producer, layer))] +=
-        distinct.count();
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    // Panel broadcasts of iteration l, all inside compute layer l mod c.
-    const std::int64_t h = distribution.home_layer(l);
-    distinct.begin(owner(l, l));
-    for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(l, j));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    credit(owner(l, l), h);
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j < t; ++j) distinct.add(owner(i, j));
-      credit(owner(i, l), h);
-    }
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      distinct.begin(owner(l, j));
-      for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, j));
-      credit(owner(l, j), h);
-    }
-  }
+  // Panel broadcasts of iteration l, all inside compute layer l mod c.
+  for_each_fanout(base, t, symmetric,
+                  [&](std::int64_t l, NodeId producer, std::int64_t receivers) {
+                    profile[static_cast<std::size_t>(distribution.replica(
+                        producer, distribution.home_layer(l)))] += receivers;
+                  });
   // Inter-layer reduction: every tile finalized at iteration m is flushed by
   // each remote layer that accumulated a partial sum for it (one tile each).
   for (std::int64_t m = 0; m < t; ++m) {
     const std::int64_t rq = distribution.remote_layer_count(m);
-    const auto flush = [&](std::int64_t i, std::int64_t j) {
+    for_each_publication(t, symmetric, m, [&](std::int64_t i, std::int64_t j) {
       for (std::int64_t s = 0; s < rq; ++s)
         profile[static_cast<std::size_t>(distribution.replica(
-            owner(i, j), distribution.remote_layer(m, s)))] += 1;
-    };
-    flush(m, m);
-    for (std::int64_t i = m + 1; i < t; ++i) flush(i, m);
-    for (std::int64_t j = m + 1; j < t; ++j) flush(m, j);
+            base.owner(i, j), distribution.remote_layer(m, s)))] += 1;
+    });
   }
   return profile;
 }
 
+}  // namespace
+
+std::vector<std::int64_t> lu_send_profile_25d(
+    const ReplicatedDistribution& distribution, std::int64_t t) {
+  return send_profile_25d(distribution, t, /*symmetric=*/false);
+}
+
 std::vector<std::int64_t> cholesky_send_profile_25d(
     const ReplicatedDistribution& distribution, std::int64_t t) {
-  const Distribution& base = distribution.base();
-  DistinctCounter distinct(base.num_nodes());
-  std::vector<std::int64_t> profile(
-      static_cast<std::size_t>(distribution.num_nodes()), 0);
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return base.owner(i, j);
-  };
-  const auto credit = [&](NodeId producer, std::int64_t layer) {
-    profile[static_cast<std::size_t>(distribution.replica(producer, layer))] +=
-        distinct.count();
-  };
-  for (std::int64_t l = 0; l + 1 < t; ++l) {
-    const std::int64_t h = distribution.home_layer(l);
-    distinct.begin(owner(l, l));
-    for (std::int64_t i = l + 1; i < t; ++i) distinct.add(owner(i, l));
-    credit(owner(l, l), h);
-    for (std::int64_t i = l + 1; i < t; ++i) {
-      distinct.begin(owner(i, l));
-      for (std::int64_t j = l + 1; j <= i; ++j) distinct.add(owner(i, j));
-      for (std::int64_t m = i; m < t; ++m) distinct.add(owner(m, i));
-      credit(owner(i, l), h);
-    }
-  }
-  for (std::int64_t m = 0; m < t; ++m) {
-    const std::int64_t rq = distribution.remote_layer_count(m);
-    const auto flush = [&](std::int64_t i, std::int64_t j) {
-      for (std::int64_t s = 0; s < rq; ++s)
-        profile[static_cast<std::size_t>(distribution.replica(
-            owner(i, j), distribution.remote_layer(m, s)))] += 1;
-    };
-    flush(m, m);
-    for (std::int64_t i = m + 1; i < t; ++i) flush(i, m);
-  }
-  return profile;
+  return send_profile_25d(distribution, t, /*symmetric=*/true);
 }
 
 std::int64_t exact_gemm_volume(const Pattern& pattern, std::int64_t t,

@@ -46,13 +46,15 @@ std::int64_t exact_lu_volume(const Pattern& pattern, std::int64_t t);
 
 /// Exact communication volume of a right-looking tile Cholesky (lower
 /// triangle) under owner-computes; requires a square pattern.  Free diagonal
-/// cells are bound with the balanced lazy assignment of Distribution.
+/// cells are bound with the balanced lazy assignment of Distribution (this
+/// is the Distribution overload on a PatternDistribution).
 std::int64_t exact_cholesky_volume(const Pattern& pattern, std::int64_t t);
 
-/// Generic-distribution overloads: same counting as the Pattern versions
-/// but driven through an arbitrary owner map, with no cyclic-periodicity
-/// shortcut.  The pattern and generic counters validate each other in the
-/// tests (they must agree exactly on PatternDistribution).
+/// Generic-distribution overloads: the consumer walk of core/consumers.hpp
+/// over an arbitrary owner map, equal to exact_*_messages under eager p2p.
+/// exact_lu_volume(Pattern) counts separately, through the periodicity
+/// shortcut, so the two validate each other in the tests (they must agree
+/// exactly on PatternDistribution).
 std::int64_t exact_lu_volume(const Distribution& distribution, std::int64_t t);
 std::int64_t exact_cholesky_volume(const Distribution& distribution,
                                    std::int64_t t);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "comm/multicast.hpp"
+#include "core/consumers.hpp"
 #include "dist/dist_factorization.hpp"
 #include "dist/rank_helpers.hpp"
 #include "linalg/kernels.hpp"
@@ -38,11 +39,6 @@ namespace {
 using core::NodeId;
 using detail::TileStore;
 using detail::receive_published;
-using detail::lu_diag_group;
-using detail::lu_col_panel_group;
-using detail::lu_row_panel_group;
-using detail::chol_diag_group;
-using detail::chol_panel_group;
 using linalg::TiledMatrix;
 using vmpi::Payload;
 using vmpi::RankContext;
@@ -69,124 +65,77 @@ class LayerView final : public core::Distribution {
   std::int64_t layer_;
 };
 
-/// One elimination iteration of the LU rank body under `distribution` (the
-/// compute layer's view).  Every published tile travels through
-/// comm::Multicast under `config`; tiles are received in publication order
-/// (diagonal, column panels by row, row panels by column), the globally
-/// consistent order the forwarding algorithms require.
-void lu_iteration_rank(RankContext& ctx, TileStore& store,
-                       const core::Distribution& distribution, std::int64_t t,
-                       std::int64_t l, std::int64_t nb, std::atomic<bool>& ok,
-                       const comm::CollectiveConfig& config) {
+/// One elimination iteration of the LU (or, when `symmetric`, lower
+/// Cholesky) rank body under `distribution` (the compute layer's view).
+/// Every published tile travels through comm::Multicast under `config` to
+/// the owners of its consumers (core/consumers.hpp), a list every rank
+/// rebuilds identically, so forwarding collectives can derive their role
+/// from the list alone.
+void iteration_rank(RankContext& ctx, TileStore& store,
+                    const core::Distribution& distribution, std::int64_t t,
+                    std::int64_t l, std::int64_t nb, bool symmetric,
+                    std::atomic<bool>& ok,
+                    const comm::CollectiveConfig& config) {
   const int self = ctx.rank();
   const auto owner = [&](std::int64_t i, std::int64_t j) {
     return distribution.owner(i, j);
   };
+  const auto group = [&](std::int64_t i, std::int64_t j) {
+    detail::GroupBuilder builder(owner(i, j));
+    core::for_each_consumer_owner(distribution, t, symmetric, l, i, j,
+                                  [&](NodeId node) { builder.add(node); });
+    return std::move(builder).take();
+  };
 
-  // --- GETRF(l, l) on its owner; multicast along colrow l.  Every rank
-  // rebuilds the identical destination list, so forwarding collectives
-  // can derive their role from the list alone.
-  const auto diag_group = lu_diag_group(distribution, t, l);
-  if (owner(l, l) == self) {
-    if (!linalg::getrf_nopiv(store.get(l, l), nb)) ok.store(false);
-    comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
-                         diag_group);
-  } else {
-    receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
-  }
-
-  // --- TRSM on owned column-panel tiles; each result is multicast to
-  // every distinct owner of the trailing row it feeds.  TRSM owners are
-  // always diag-group members, so the diagonal tile is local by now.
-  for (std::int64_t i = l + 1; i < t; ++i) {
-    if (owner(i, l) != self) continue;
-    linalg::trsm_right_upper(store.get(l, l), store.get(i, l), nb);
-    comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
-                         lu_col_panel_group(distribution, t, l, i));
-  }
-
-  // --- TRSM on owned row-panel tiles; results go down the columns.
-  for (std::int64_t j = l + 1; j < t; ++j) {
-    if (owner(l, j) != self) continue;
-    linalg::trsm_left_lower_unit(store.get(l, l), store.get(l, j), nb);
-    comm::multicast_send(ctx, config, store.key(l, j), store.get(l, j),
-                         lu_row_panel_group(distribution, t, l, j));
-  }
-
-  // --- Receive the published panels in publication order (column panels
-  // ascending i, then row panels ascending j).  The order is identical on
-  // every rank, so relay obligations of the tree and chain algorithms can
-  // never form a cycle; afterwards all GEMM inputs are local.
-  for (std::int64_t i = l + 1; i < t; ++i) {
-    if (owner(i, l) == self) continue;
-    receive_published(store, ctx, config, i, l, owner(i, l),
-                      lu_col_panel_group(distribution, t, l, i));
-  }
-  for (std::int64_t j = l + 1; j < t; ++j) {
-    if (owner(l, j) == self) continue;
-    receive_published(store, ctx, config, l, j, owner(l, j),
-                      lu_row_panel_group(distribution, t, l, j));
-  }
-
-  // --- GEMM updates on owned trailing tiles.
-  for (std::int64_t i = l + 1; i < t; ++i) {
-    for (std::int64_t j = l + 1; j < t; ++j) {
-      if (owner(i, j) != self) continue;
-      linalg::gemm_update(store.get(i, l), store.get(l, j),
-                          store.get(i, j), nb);
+  // --- Produce in publication order: GETRF/POTRF(l, l), then the TRSMs
+  // on owned panel tiles (Cholesky: colrow i of the trailing matrix,
+  // Fig. 2, right), each multicast as soon as it exists.  Panel owners
+  // are always diagonal-group members, so a rank that does not own the
+  // diagonal receives it before its first TRSM.
+  core::for_each_publication(t, symmetric, l, [&](std::int64_t i,
+                                                  std::int64_t j) {
+    const bool diagonal = i == l && j == l;
+    if (owner(i, j) != self) {
+      if (diagonal)
+        receive_published(store, ctx, config, l, l, owner(l, l), group(l, l));
+      return;
     }
-  }
-}
+    Payload& tile = store.get(i, j);
+    if (diagonal) {
+      if (!(symmetric ? linalg::potrf_lower(tile, nb)
+                      : linalg::getrf_nopiv(tile, nb)))
+        ok.store(false);
+    } else if (symmetric) {
+      linalg::trsm_right_lower_trans(store.get(l, l), tile, nb);
+    } else if (j == l) {
+      linalg::trsm_right_upper(store.get(l, l), tile, nb);
+    } else {
+      linalg::trsm_left_lower_unit(store.get(l, l), tile, nb);
+    }
+    comm::multicast_send(ctx, config, store.key(i, j), tile, group(i, j));
+  });
 
+  // --- Receive the other panels in publication order.  The order is
+  // identical on every rank, so relay obligations of the tree and chain
+  // algorithms can never form a cycle; afterwards all update inputs are
+  // local (a Cholesky update tile (i, j) sits on colrow j via cell (i, j)
+  // with i >= j, so its owner is in both panel groups).
+  core::for_each_publication(t, symmetric, l, [&](std::int64_t i,
+                                                  std::int64_t j) {
+    if ((i == l && j == l) || owner(i, j) == self) return;
+    receive_published(store, ctx, config, i, j, owner(i, j), group(i, j));
+  });
 
-
-/// One elimination iteration of the lower Cholesky rank body.
-void cholesky_iteration_rank(RankContext& ctx, TileStore& store,
-                             const core::Distribution& distribution,
-                             std::int64_t t, std::int64_t l, std::int64_t nb,
-                             std::atomic<bool>& ok,
-                             const comm::CollectiveConfig& config) {
-  const int self = ctx.rank();
-  const auto owner = [&](std::int64_t i, std::int64_t j) {
-    return distribution.owner(i, j);
-  };
-
-  // --- POTRF(l, l); the factor feeds the TRSMs below it.
-  const auto diag_group = chol_diag_group(distribution, t, l);
-  if (owner(l, l) == self) {
-    if (!linalg::potrf_lower(store.get(l, l), nb)) ok.store(false);
-    comm::multicast_send(ctx, config, store.key(l, l), store.get(l, l),
-                         diag_group);
-  } else {
-    receive_published(store, ctx, config, l, l, owner(l, l), diag_group);
-  }
-
-  // --- TRSM on owned panel tiles; each result travels along *colrow i*
-  // of the trailing matrix (Fig. 2, right): row segment (i, j) for
-  // l < j <= i, then column segment (k, i) for k >= i.
+  // --- Updates on owned trailing tiles: GEMM over the square for LU,
+  // SYRK/GEMM over the lower triangle for Cholesky.
   for (std::int64_t i = l + 1; i < t; ++i) {
-    if (owner(i, l) != self) continue;
-    linalg::trsm_right_lower_trans(store.get(l, l), store.get(i, l), nb);
-    comm::multicast_send(ctx, config, store.key(i, l), store.get(i, l),
-                         chol_panel_group(distribution, t, l, i));
-  }
-
-  // --- Receive the published panels ascending i (publication order —
-  // the globally consistent order the forwarding algorithms require).
-  // An owned update tile (i, j) needs panels (i, l) and (j, l); its
-  // owner sits on colrow j via cell (i, j) with i >= j, hence is a
-  // member of both panel groups.
-  for (std::int64_t i = l + 1; i < t; ++i) {
-    if (owner(i, l) == self) continue;
-    receive_published(store, ctx, config, i, l, owner(i, l),
-                      chol_panel_group(distribution, t, l, i));
-  }
-
-  // --- SYRK/GEMM updates on owned trailing tiles (lower triangle).
-  for (std::int64_t i = l + 1; i < t; ++i) {
-    for (std::int64_t j = l + 1; j <= i; ++j) {
+    const std::int64_t j_end = symmetric ? i + 1 : t;
+    for (std::int64_t j = l + 1; j < j_end; ++j) {
       if (owner(i, j) != self) continue;
-      if (i == j) {
+      if (!symmetric) {
+        linalg::gemm_update(store.get(i, l), store.get(l, j),
+                            store.get(i, j), nb);
+      } else if (i == j) {
         linalg::syrk_update_lower(store.get(i, l), store.get(i, i), nb);
       } else {
         linalg::gemm_update_trans_b(store.get(i, l), store.get(j, l),
@@ -195,8 +144,6 @@ void cholesky_iteration_rank(RankContext& ctx, TileStore& store,
     }
   }
 }
-
-
 
 /// Flush/receive the remote-layer partial sums of one tile iteration l is
 /// about to finalize.  Remote layers send; the home replica accumulates in
@@ -294,20 +241,13 @@ void factorize_rank(RankContext& ctx, TileStore& store,
                     std::int64_t nb, bool symmetric, std::atomic<bool>& ok,
                     const comm::CollectiveConfig& config) {
   for (std::int64_t l = 0; l < t; ++l) {
-    // Reduce phase: finalized tiles in task order — the diagonal, the
-    // column panel, and (LU only) the row panel.
-    reduce_tile(ctx, store, dist, t, l, l, l, config);
-    for (std::int64_t i = l + 1; i < t; ++i)
-      reduce_tile(ctx, store, dist, t, l, i, l, config);
-    if (!symmetric)
-      for (std::int64_t j = l + 1; j < t; ++j)
-        reduce_tile(ctx, store, dist, t, l, l, j, config);
-
-    const LayerView view(dist, dist.home_layer(l));
-    if (symmetric)
-      cholesky_iteration_rank(ctx, store, view, t, l, nb, ok, config);
-    else
-      lu_iteration_rank(ctx, store, view, t, l, nb, ok, config);
+    // Reduce phase: the tiles iteration l finalizes, in publication order.
+    core::for_each_publication(
+        t, symmetric, l, [&](std::int64_t i, std::int64_t j) {
+          reduce_tile(ctx, store, dist, t, l, i, j, config);
+        });
+    iteration_rank(ctx, store, LayerView(dist, dist.home_layer(l)), t, l, nb,
+                   symmetric, ok, config);
   }
 }
 

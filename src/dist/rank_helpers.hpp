@@ -1,6 +1,11 @@
 // Internal per-rank building blocks shared by the distributed
 // factorizations (dist_factorization*.cpp) and solves (dist_solve.cpp).
 // Not part of the public API.
+//
+// GroupBuilder turns an ordered consumer list into a multicast group.  The
+// LU and Cholesky factorizations feed it the consumer rule of
+// core/consumers.hpp, the walk core's exact message counts sum over; the
+// SYRK, GEMM and solve groups list their consumers locally.
 #pragma once
 
 #include <algorithm>
@@ -81,53 +86,6 @@ class GroupBuilder {
   int root_;
   std::vector<int> dests_;
 };
-
-/// Consumers of the LU diagonal tile (l, l): the TRSM owners on column l
-/// and row l of the trailing matrix.
-inline std::vector<int> lu_diag_group(const core::Distribution& dist,
-                                      std::int64_t t, std::int64_t l) {
-  GroupBuilder group(dist.owner(l, l));
-  for (std::int64_t i = l + 1; i < t; ++i) group.add(dist.owner(i, l));
-  for (std::int64_t j = l + 1; j < t; ++j) group.add(dist.owner(l, j));
-  return std::move(group).take();
-}
-
-/// Consumers of the LU column-panel tile (i, l): GEMM owners on row i.
-inline std::vector<int> lu_col_panel_group(const core::Distribution& dist,
-                                           std::int64_t t, std::int64_t l,
-                                           std::int64_t i) {
-  GroupBuilder group(dist.owner(i, l));
-  for (std::int64_t j = l + 1; j < t; ++j) group.add(dist.owner(i, j));
-  return std::move(group).take();
-}
-
-/// Consumers of the LU row-panel tile (l, j): GEMM owners on column j.
-inline std::vector<int> lu_row_panel_group(const core::Distribution& dist,
-                                           std::int64_t t, std::int64_t l,
-                                           std::int64_t j) {
-  GroupBuilder group(dist.owner(l, j));
-  for (std::int64_t i = l + 1; i < t; ++i) group.add(dist.owner(i, j));
-  return std::move(group).take();
-}
-
-/// Consumers of the Cholesky diagonal tile (l, l): TRSM owners below it.
-inline std::vector<int> chol_diag_group(const core::Distribution& dist,
-                                        std::int64_t t, std::int64_t l) {
-  GroupBuilder group(dist.owner(l, l));
-  for (std::int64_t i = l + 1; i < t; ++i) group.add(dist.owner(i, l));
-  return std::move(group).take();
-}
-
-/// Consumers of the Cholesky panel tile (i, l): the update owners on
-/// colrow i of the trailing matrix (Fig. 2, right).
-inline std::vector<int> chol_panel_group(const core::Distribution& dist,
-                                         std::int64_t t, std::int64_t l,
-                                         std::int64_t i) {
-  GroupBuilder group(dist.owner(i, l));
-  for (std::int64_t j = l + 1; j <= i; ++j) group.add(dist.owner(i, j));
-  for (std::int64_t k = i; k < t; ++k) group.add(dist.owner(k, i));
-  return std::move(group).take();
-}
 
 /// True when `rank` belongs to the multicast destination list.
 inline bool in_group(int rank, const std::vector<int>& dests) {

@@ -4,7 +4,7 @@
 // environment (`anyblock launch` sets ANYBLOCK_* for its children) with
 // command-line flags layered on top, and make_transport() turns it into a
 // backend — nullptr meaning the in-process default.  launch_processes() is
-// the single-host launcher behind `anyblock launch --ranks N`: it forks K
+// the single-host launcher behind `anyblock launch --procs N`: it forks K
 // copies of this binary, wires them to one rendezvous directory, and
 // reaps them.
 #pragma once

@@ -36,14 +36,6 @@ ImplicitWorkload::Decoded ImplicitWorkload::decode(std::int64_t id) const {
   return {TaskType::kGemm, l, i, e - 1};
 }
 
-std::int32_t ImplicitWorkload::initial_deps(std::int64_t id) const {
-  // Loads are ready at once; an update waits for its A inputs (one for
-  // SYRK, two for GEMM) plus the previous writer of its tile.
-  const Decoded task = decode(id);
-  if (task.type == TaskType::kLoad) return 0;
-  return (task.type == TaskType::kSyrk ? 1 : 2) + (task.l > 0 ? 1 : 0);
-}
-
 void ImplicitWorkload::fill_deps(std::int64_t l,
                                  std::vector<std::uint8_t>& counts) const {
   // Row i of the block: SYRK(i, i), then GEMM(i, 0 .. i - 1).

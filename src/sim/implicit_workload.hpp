@@ -330,10 +330,8 @@ class ImplicitWorkload : public ImplicitFrontier<ImplicitWorkload> {
   /// finishes.
   InstanceHandle publish(std::int64_t instance, const TaskView& task);
 
-  /// Closed-form unmet-dependency count at creation (public for tests).
-  [[nodiscard]] std::int32_t initial_deps(std::int64_t id) const;
-  /// Appends initial_deps of every task in dependency block l (A column
-  /// l's updates), in ordinal order.
+  /// Appends the closed-form unmet-dependency count at creation of every
+  /// task in dependency block l (A column l's updates), in ordinal order.
   void fill_deps(std::int64_t l, std::vector<std::uint8_t>& counts) const;
 
  private:

@@ -92,42 +92,15 @@ Implicit25dWorkload::Decoded Implicit25dWorkload::decode(
   return {TaskType::kGemm, l, i, l + e};
 }
 
-std::int32_t Implicit25dWorkload::initial_deps(std::int64_t id) const {
-  const Decoded task = decode(id);
-  switch (task.type) {
-    case TaskType::kFlush:
-      // Chains after the last GEMM/SYRK of its layer (layer q < l always
-      // updated the tile at iteration q at the latest).
-      return 1;
-    case TaskType::kReduce:
-      // The flushed partial, plus a chain edge from the previous home-layer
-      // writer: the prior reduce (slot > 0) or the last home-layer update
-      // (which exists once l >= c).
-      return 1 + ((task.slot > 0 || task.l >= layers_) ? 1 : 0);
-    case TaskType::kGetrf:
-    case TaskType::kPotrf:
-      return task.l > 0 ? 1 : 0;
-    case TaskType::kTrsm:
-      return 1 + (task.l > 0 ? 1 : 0);
-    case TaskType::kSyrk:
-      return 1 + (task.l >= layers_ ? 1 : 0);
-    case TaskType::kGemm:
-      return 2 + (task.l >= layers_ ? 1 : 0);
-    case TaskType::kLoad:
-      break;
-  }
-  throw std::logic_error("unreachable 2.5D task type");
-}
-
 void Implicit25dWorkload::fill_deps(std::int64_t l,
                                     std::vector<std::uint8_t>& counts) const {
-  // The same counts as initial_deps, a segment at a time.
   const auto fill = [&](std::int64_t n, std::int64_t deps) {
     counts.insert(counts.end(), static_cast<std::size_t>(n),
                   static_cast<std::uint8_t>(deps));
   };
   const std::int64_t k = t_ - 1 - l;
   const std::int64_t chain = l >= layers_ ? 1 : 0;  // home-layer writer
+  // A flush chains after its layer's last update of the tile.
   fill(flush_block(l), 1);
   if (rq(l) > 0) {
     // Per finalized tile: the first reduce waits for its partial (and, once
@@ -138,6 +111,8 @@ void Implicit25dWorkload::fill_deps(std::int64_t l,
       fill(rq(l) - 1, 2);
     }
   }
+  // GETRF/POTRF waits for the previous writer of (l, l), a TRSM for the
+  // diagonal as well, an update for its one (SYRK) or two (GEMM) panels.
   fill(1, l > 0 ? 1 : 0);
   fill(kernel_ == SimKernel::kLu ? 2 * k : k, l > 0 ? 2 : 1);
   if (kernel_ == SimKernel::kLu) {

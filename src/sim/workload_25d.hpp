@@ -61,10 +61,9 @@ class Implicit25dWorkload : public ImplicitFrontier<Implicit25dWorkload> {
   /// Builds the consumer groups of `instance` when its producer finishes.
   InstanceHandle publish(std::int64_t instance, const TaskView& task);
 
-  /// Closed-form unmet-dependency count at creation (public for tests).
-  [[nodiscard]] std::int32_t initial_deps(std::int64_t id) const;
-  /// Appends initial_deps of every task of iteration l, in ordinal order:
-  /// one pass over the flush, reduce, panel, TRSM and update segments.
+  /// Appends the closed-form unmet-dependency count at creation of every
+  /// task of iteration l, in ordinal order: one pass over the flush,
+  /// reduce, panel, TRSM and update segments.
   void fill_deps(std::int64_t l, std::vector<std::uint8_t>& counts) const;
 
  private:

@@ -1,7 +1,10 @@
 // Cross-validation of the two independent exact-volume implementations:
 // the Pattern counters (with the cyclic-periodicity shortcut) and the
 // generic Distribution counters (no shortcut).  Any bookkeeping error in
-// either would break the exact equality.
+// either would break the exact equality.  Only LU has two: the Cholesky
+// Pattern counter forwards to the Distribution one (free diagonal cells
+// leave no shortcut), so the Cholesky cases pin that forwarding, and
+// ConsumerRule.* checks the Cholesky walk against the materialized builders.
 #include <gtest/gtest.h>
 
 #include "core/block_cyclic.hpp"

@@ -105,5 +105,14 @@ TEST(Multiproc, LaunchWithoutChildCommandFailsWithUsage) {
       << result.output;
 }
 
+TEST(Multiproc, LaunchRejectsRanksFlag) {
+  // --procs is the one way to size a mesh; --ranks is not an alias.
+  const CliResult result =
+      run_cli("launch --ranks 2 -- run --kernel lu --nodes 23 --tiles 8");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("--ranks"), std::string::npos)
+      << result.output;
+}
+
 }  // namespace
 }  // namespace anyblock::net

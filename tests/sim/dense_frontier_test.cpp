@@ -2,8 +2,9 @@
 // BlockTable): per-iteration dependency blocks filled from the closed
 // forms, and per-iteration instance slots.
 //
-//  * fill_deps(l) reproduces initial_deps(id) for every ordinal of every
-//    block, for LU and Cholesky at several layer counts and for SYRK.
+//  * fill_deps(l) reproduces the materialized builders' dependency counts
+//    (tests/sim/oracle/) for every ordinal of every block, for LU and
+//    Cholesky at several layer counts and for SYRK.
 //  * Driving a whole DAG through satisfy / publish / release leaves no
 //    live frontier entry and no block behind, whatever order the ready
 //    tasks run in.
@@ -22,6 +23,7 @@
 #include "core/g2dbc.hpp"
 #include "core/replicated.hpp"
 #include "sim/implicit_workload.hpp"
+#include "sim/oracle/materialized_workload.hpp"
 #include "sim/workload_25d.hpp"
 
 namespace anyblock::sim {
@@ -35,13 +37,18 @@ core::ReplicatedDistribution stacked(std::int64_t t, bool symmetric,
       layers);
 }
 
-/// Every ordinal: inside a block, the block's fill equals initial_deps;
-/// below the first block, the task is initially ready.
+/// Every ordinal: inside a block, the block's fill equals the materialized
+/// builder's dependency count; below the first block, the builder's task
+/// is initially ready.
 template <class Model>
-void expect_fill_matches_initial_deps(const Model& model) {
+void expect_fill_matches_builder(const Model& model, const Workload& work) {
   ASSERT_GE(model.iterations(), 1);
+  ASSERT_EQ(model.task_count(), work.task_count());
+  const auto deps = [&](std::int64_t id) {
+    return work.tasks[static_cast<std::size_t>(id)].deps;
+  };
   for (std::int64_t id = 0; id < model.iteration_begin(0); ++id)
-    EXPECT_EQ(model.initial_deps(id), 0) << id;
+    EXPECT_EQ(deps(id), 0) << id;
   ASSERT_EQ(model.iteration_begin(model.iterations()), model.task_count());
   std::vector<std::uint8_t> counts;
   for (std::int64_t l = 0; l < model.iterations(); ++l) {
@@ -53,8 +60,7 @@ void expect_fill_matches_initial_deps(const Model& model) {
     ASSERT_EQ(static_cast<std::int64_t>(counts.size()), end - begin) << l;
     for (std::int64_t id = begin; id < end; ++id) {
       EXPECT_EQ(model.iteration_of(id), l) << id;
-      EXPECT_EQ(counts[static_cast<std::size_t>(id - begin)],
-                model.initial_deps(id))
+      EXPECT_EQ(counts[static_cast<std::size_t>(id - begin)], deps(id))
           << "l = " << l << ", id = " << id;
     }
   }
@@ -69,10 +75,12 @@ TEST(DenseFrontier, BlockFillEqualsInitialDepsForEveryOrdinal) {
       const core::ReplicatedDistribution chol = stacked(t, true, layers);
       SCOPED_TRACE("c = " + std::to_string(layers) +
                    ", t = " + std::to_string(t));
-      expect_fill_matches_initial_deps(
-          Implicit25dWorkload(SimKernel::kLu, t, lu, machine));
-      expect_fill_matches_initial_deps(
-          Implicit25dWorkload(SimKernel::kCholesky, t, chol, machine));
+      expect_fill_matches_builder(
+          Implicit25dWorkload(SimKernel::kLu, t, lu, machine),
+          build_lu_workload_25d(t, lu, machine));
+      expect_fill_matches_builder(
+          Implicit25dWorkload(SimKernel::kCholesky, t, chol, machine),
+          build_cholesky_workload_25d(t, chol, machine));
     }
   }
   MachineConfig machine;
@@ -83,7 +91,8 @@ TEST(DenseFrontier, BlockFillEqualsInitialDepsForEveryOrdinal) {
       const core::PatternDistribution a(core::make_g2dbc(5), t, false);
       SCOPED_TRACE("syrk t = " + std::to_string(t) +
                    ", k = " + std::to_string(k));
-      expect_fill_matches_initial_deps(ImplicitWorkload(t, k, c, a, machine));
+      expect_fill_matches_builder(ImplicitWorkload(t, k, c, a, machine),
+                                  build_syrk_workload(t, k, c, a, machine));
     }
   }
 }

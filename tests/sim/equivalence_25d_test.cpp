@@ -490,6 +490,13 @@ void expect_same_structure(const Workload& work, Implicit25dWorkload& model) {
             model.instance_count());
   EXPECT_NEAR(work.total_flops, model.total_flops(),
               1e-9 * (work.total_flops + 1.0));
+  // Closed-form dependency counts: the initially ready ordinals, then every
+  // iteration's block fill, in ordinal order.
+  std::vector<std::uint8_t> deps(
+      static_cast<std::size_t>(model.iteration_begin(0)), 0);
+  for (std::int64_t l = 0; l < model.iterations(); ++l)
+    model.fill_deps(l, deps);
+  ASSERT_EQ(deps.size(), work.tasks.size());
   for (std::int64_t id = 0; id < work.task_count(); ++id) {
     const SimTask& task = work.tasks[static_cast<std::size_t>(id)];
     const TaskView view = model.task(id);
@@ -500,7 +507,7 @@ void expect_same_structure(const Workload& work, Implicit25dWorkload& model) {
     EXPECT_EQ(task.node, view.node) << id;
     EXPECT_EQ(task.successor, view.successor) << id;
     EXPECT_EQ(task.publishes, view.publishes) << id;
-    EXPECT_EQ(task.deps, model.initial_deps(id)) << id;
+    EXPECT_EQ(task.deps, deps[static_cast<std::size_t>(id)]) << id;
     if (task.publishes < 0) continue;
     const Instance& instance =
         work.instances[static_cast<std::size_t>(task.publishes)];

@@ -871,16 +871,13 @@ int cmd_launch(int argc, char** argv) {
                    "spawn a single-host socket mesh: N OS processes re-run "
                    "this binary with the command after --");
   parser.add("procs", "0", "OS processes to spawn");
-  parser.add("ranks", "0",
-             "convenience alias: one process per rank (same as --procs)");
   parser.add("rendezvous", "",
              "rendezvous directory (default: a fresh temp dir)");
   if (!parser.parse(own_argc, argv)) return 1;
 
-  std::int64_t processes = parser.get_int("procs");
-  if (processes <= 0) processes = parser.get_int("ranks");
+  const std::int64_t processes = parser.get_int("procs");
   if (processes <= 0) {
-    std::fprintf(stderr, "launch: give --procs N (or --ranks N)\n");
+    std::fprintf(stderr, "launch: give --procs N\n");
     return 1;
   }
   if (child.empty()) {
