@@ -64,4 +64,18 @@ std::int64_t multicast_messages(std::int64_t receivers,
 std::int64_t multicast_critical_path(std::int64_t receivers,
                                      const CollectiveConfig& config);
 
+/// Binomial-tree children of `position` in a group of `m` holders (the
+/// root holds position 0): every position + 2^k with 2^k > position still
+/// inside the group.  The one tree rule: comm's real multicast and sim's
+/// modelled one both forward along it.
+template <typename Fn>
+void for_each_tree_child(std::int64_t position, std::int64_t m, Fn&& fn) {
+  for (std::int64_t step = 1; step < m; step *= 2) {
+    if (step <= position) continue;
+    const std::int64_t child = position + step;
+    if (child >= m) break;
+    fn(child);
+  }
+}
+
 }  // namespace anyblock::comm

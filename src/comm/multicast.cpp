@@ -10,18 +10,6 @@ namespace {
 using vmpi::Payload;
 using vmpi::RankContext;
 
-/// Binomial-tree children of `position` in a group of `m` holders: every
-/// position + 2^k with 2^k > position still inside the group.
-template <typename Fn>
-void for_each_tree_child(std::int64_t position, std::int64_t m, Fn&& fn) {
-  for (std::int64_t step = 1; step < m; step *= 2) {
-    if (step <= position) continue;
-    const std::int64_t child = position + step;
-    if (child >= m) break;
-    fn(child);
-  }
-}
-
 /// Binomial-tree parent: strip the highest set bit of the position.
 std::int64_t tree_parent(std::int64_t position) {
   std::int64_t bit = 1;

@@ -1,6 +1,7 @@
 #include "core/pattern_search.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -92,11 +93,11 @@ std::vector<std::pair<std::string, double>> GcrmSweepProfile::metric_rows()
 
 namespace {
 
-/// One pattern size's local reduction: exactly what the flat sequential
-/// sweep would keep had it only seen this size's attempts.  Strict `<`
-/// keeps the earliest seed of equal cost, so merging blocks in ascending-r
-/// order replays the flat sweep's tie-breaking.
-struct SizeBest {
+/// One slice's local reduction: what the flat sequential sweep would keep
+/// had it only seen this slice's attempts (the slice fixes r).  Strict `<`
+/// keeps the earliest seed of equal cost, so merging slices in canonical
+/// (r, s) order replays the flat sweep's tie-breaking.
+struct SliceBest {
   bool have_balanced = false;
   double balanced_cost = 0.0;
   std::uint64_t balanced_seed = 0;
@@ -106,28 +107,49 @@ struct SizeBest {
   std::uint64_t valid_seed = 0;
 
   std::vector<GcrmSample> samples;
+  GcrmSweepProfile profile;  ///< this slice's counters (and timings)
+  bool skipped = false;      ///< whole slice fell to the balanced-cost floor
 };
 
-/// Runs all seeds of one pattern size.  `threshold` (nullable) is the
-/// cheapest balanced cost built anywhere so far (+inf when none): attempts
-/// abandon against it, and it tightens as this block builds cheaper
-/// patterns.  Null threshold = reference mode: never abandon.
-SizeBest reduce_size_block(std::int64_t P, std::int64_t r,
-                           const GcrmSearchOptions& options,
-                           bool keep_samples, double* threshold,
-                           GcrmSweepProfile* profile) {
-  SizeBest best;
+/// Lowers `target` to `value` if smaller.  The threshold is a standalone
+/// monotone hint (it publishes no other data), so relaxed ordering
+/// suffices: a stale read only prunes less, never wrongly.
+void atomic_min(std::atomic<double>& target, double value) {
+  double current = target.load(std::memory_order_relaxed);
+  while (value < current &&
+         !target.compare_exchange_weak(current, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+/// Runs restarts [s_begin, s_end) of pattern size r.  `threshold` (null =
+/// reference mode: never prune) is the cheapest balanced cost built by any
+/// slice so far, +inf when none: the slice is skipped whole when the size's
+/// floor exceeds it, attempts abandon against it, and it tightens as this
+/// slice builds cheaper balanced patterns.
+SliceBest reduce_slice(std::int64_t P, std::int64_t r, std::int64_t s_begin,
+                       std::int64_t s_end, const GcrmSearchOptions& options,
+                       bool keep_samples, bool timed,
+                       std::atomic<double>* threshold) {
+  SliceBest best;
+  if (threshold && gcrm_balanced_cost_floor(P, r, options.balance_slack) >
+                       threshold->load(std::memory_order_relaxed)) {
+    best.skipped = true;
+    best.profile.attempts_skipped = s_end - s_begin;
+    return best;
+  }
   GcrmBuildControls controls;
-  controls.timings = profile ? &profile->timings : nullptr;
-  for (std::int64_t s = 0; s < options.seeds; ++s) {
+  controls.timings = timed ? &best.profile.timings : nullptr;
+  for (std::int64_t s = s_begin; s < s_end; ++s) {
     const std::uint64_t seed = gcrm_attempt_seed(options.base_seed, r, s);
-    if (threshold) controls.abandon_above = *threshold;
-    GcrmResult attempt = gcrm_build(P, r, seed, controls);
+    if (threshold)
+      controls.abandon_above = threshold->load(std::memory_order_relaxed);
+    const GcrmResult attempt = gcrm_build(P, r, seed, controls);
     if (attempt.abandoned) {
-      if (profile) ++profile->attempts_abandoned;
+      ++best.profile.attempts_abandoned;
       continue;
     }
-    if (profile) ++profile->attempts_built;
+    ++best.profile.attempts_built;
     const bool balanced =
         attempt.valid && attempt.pattern.is_balanced(options.balance_slack);
     if (keep_samples)
@@ -139,7 +161,7 @@ SizeBest reduce_size_block(std::int64_t P, std::int64_t r,
         best.balanced_cost = attempt.cost;
         best.balanced_seed = seed;
       }
-      if (threshold && attempt.cost < *threshold) *threshold = attempt.cost;
+      if (threshold) atomic_min(*threshold, attempt.cost);
     }
     if (!best.have_valid || attempt.cost < best.valid_cost) {
       best.have_valid = true;
@@ -152,74 +174,68 @@ SizeBest reduce_size_block(std::int64_t P, std::int64_t r,
 
 }  // namespace
 
-GcrmSearchResult gcrm_search(std::int64_t P, const GcrmSearchOptions& options,
-                             bool keep_samples, GcrmSweepProfile* profile) {
+GcrmSearchResult gcrm_sweep(std::int64_t P, const GcrmSearchOptions& options,
+                            std::int64_t slices_per_size,
+                            const GcrmSliceRunner& runner, bool keep_samples,
+                            GcrmSweepProfile* profile) {
   if (P <= 0) throw std::invalid_argument("P must be positive");
   const auto sweep_start = std::chrono::steady_clock::now();
 
+  // Slice j of a size holds restarts [j * seeds / per_size,
+  // (j + 1) * seeds / per_size): contiguous, in canonical order, and empty
+  // only when seeds is 0.
   const std::vector<std::int64_t> sizes =
       gcrm_feasible_sizes(P, gcrm_sweep_max_r(P, options));
-  if (profile) {
-    ++profile->searches;
-    profile->sizes_feasible += static_cast<std::int64_t>(sizes.size());
-  }
+  const std::int64_t per_size = std::clamp<std::int64_t>(
+      slices_per_size, 1, std::max<std::int64_t>(options.seeds, 1));
+  const auto per = static_cast<std::size_t>(per_size);
+  const std::size_t count = sizes.size() * per;
 
   // Samples must record every attempt, so pruning turns off with them.
   const bool prune = options.prune && !keep_samples;
-  std::vector<SizeBest> blocks(sizes.size());
-  double threshold = std::numeric_limits<double>::infinity();
+  std::atomic<double> threshold{std::numeric_limits<double>::infinity()};
+  std::vector<SliceBest> slices(count);
+  runner(count, [&](std::size_t k) {
+    // Pruned sweeps would like descending r: winners empirically sit near
+    // max_r, so the incumbent tightens in the first slices and low-r slices
+    // fall to the cost floor.  Any order returns the same winner: the
+    // threshold only removes attempts that provably lose the strict-<
+    // selection below (DESIGN.md §12).
+    const std::size_t i = prune ? count - 1 - k : k;
+    const auto j = static_cast<std::int64_t>(i % per);
+    slices[i] = reduce_slice(
+        P, sizes[i / per], j * options.seeds / per_size,
+        (j + 1) * options.seeds / per_size,
+        options, keep_samples, profile != nullptr,
+        prune ? &threshold : nullptr);
+  });
 
-  if (prune) {
-    // Descending r: winners empirically sit near max_r, so the incumbent
-    // tightens immediately and low-r blocks fall to the cost floor.  The
-    // execution order is free to differ from canonical order because the
-    // threshold only ever removes attempts that provably lose the strict-<
-    // selection below (see the pruned-sweep invariants in DESIGN.md).
-    for (std::size_t idx = sizes.size(); idx-- > 0;) {
-      const std::int64_t r = sizes[idx];
-      if (gcrm_balanced_cost_floor(P, r, options.balance_slack) > threshold) {
-        if (profile) {
-          ++profile->sizes_pruned;
-          profile->attempts_skipped += options.seeds;
-        }
-        continue;  // block stays empty: nothing in it can win
-      }
-      blocks[idx] = reduce_size_block(P, r, options, /*keep_samples=*/false,
-                                      &threshold, profile);
-    }
-  } else {
-    for (std::size_t idx = 0; idx < sizes.size(); ++idx)
-      blocks[idx] = reduce_size_block(P, sizes[idx], options, keep_samples,
-                                      /*threshold=*/nullptr, profile);
-  }
-
-  // Canonical ascending-r merge: replay the flat sequential selection over
-  // the block reductions.  Balanced patterns strictly dominate unbalanced
-  // ones; among patterns of the same class, lower z-bar wins and strict `<`
+  // Canonical (r, s) merge: replay the flat sequential selection over the
+  // slice reductions.  Balanced patterns strictly dominate unbalanced ones;
+  // among patterns of the same class, lower z-bar wins and strict `<`
   // keeps the earliest (r, s).
   GcrmSearchResult result;
   bool have_balanced = false;
-  double best_balanced_cost = 0.0;
-  for (std::size_t idx = 0; idx < blocks.size(); ++idx) {
-    SizeBest& block = blocks[idx];
+  for (std::size_t i = 0; i < count; ++i) {
+    SliceBest& slice = slices[i];
+    const std::int64_t r = sizes[i / per];
     if (keep_samples)
       result.samples.insert(result.samples.end(),
-                            std::make_move_iterator(block.samples.begin()),
-                            std::make_move_iterator(block.samples.end()));
-    if (block.have_balanced &&
-        (!have_balanced || block.balanced_cost < best_balanced_cost)) {
+                            std::make_move_iterator(slice.samples.begin()),
+                            std::make_move_iterator(slice.samples.end()));
+    if (slice.have_balanced &&
+        (!have_balanced || slice.balanced_cost < result.best_cost)) {
       have_balanced = true;
-      best_balanced_cost = block.balanced_cost;
-      result.best_cost = block.balanced_cost;
-      result.best_r = sizes[idx];
-      result.best_seed = block.balanced_seed;
+      result.best_cost = slice.balanced_cost;
+      result.best_r = r;
+      result.best_seed = slice.balanced_seed;
       result.found = true;
     }
-    if (!have_balanced && block.have_valid &&
-        (!result.found || block.valid_cost < result.best_cost)) {
-      result.best_cost = block.valid_cost;
-      result.best_r = sizes[idx];
-      result.best_seed = block.valid_seed;
+    if (!have_balanced && slice.have_valid &&
+        (!result.found || slice.valid_cost < result.best_cost)) {
+      result.best_cost = slice.valid_cost;
+      result.best_r = r;
+      result.best_seed = slice.valid_seed;
       result.found = true;
     }
   }
@@ -228,12 +244,31 @@ GcrmSearchResult gcrm_search(std::int64_t P, const GcrmSearchOptions& options,
   if (result.found)
     result.best = gcrm_build(P, result.best_r, result.best_seed).pattern;
 
-  if (profile)
+  if (profile) {
+    ++profile->searches;
+    profile->sizes_feasible += static_cast<std::int64_t>(sizes.size());
+    for (const SliceBest& slice : slices) profile->merge(slice.profile);
+    // A size counts as pruned when every one of its slices was skipped.
+    for (auto first = slices.begin(); first != slices.end(); first += per_size)
+      if (std::all_of(first, first + per_size,
+                      [](const SliceBest& slice) { return slice.skipped; }))
+        ++profile->sizes_pruned;
     profile->total_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sweep_start)
             .count();
+  }
   return result;
+}
+
+GcrmSearchResult gcrm_search(std::int64_t P, const GcrmSearchOptions& options,
+                             bool keep_samples, GcrmSweepProfile* profile) {
+  return gcrm_sweep(
+      P, options, /*slices_per_size=*/1,
+      [](std::size_t count, const std::function<void(std::size_t)>& run_slice) {
+        for (std::size_t k = 0; k < count; ++k) run_slice(k);
+      },
+      keep_samples, profile);
 }
 
 Pattern best_gcrm_pattern(std::int64_t P) {

@@ -6,17 +6,27 @@
 // on P, never on the matrix, so this search runs once per node count (and
 // `anyblock precompute` records its winners in store::WinnersTable).
 //
+// gcrm_sweep is the one implementation of that sweep.  It cuts the (r, s)
+// grid into slices, reduces each slice locally, prunes and merges; a
+// caller-supplied GcrmSliceRunner only decides where and in which order the
+// slices run.  gcrm_search runs them in order on the calling thread;
+// serve::parallel_gcrm_search runs them on a task engine.  Every seed is a
+// pure function of (base_seed, r, s) and the merge replays the canonical
+// (r, s) order, so the winner never depends on the slicing or the order.
+//
 // The sweep dominates `anyblock precompute` at large P, so it supports a
-// provably result-identical pruned mode (GcrmSearchOptions::prune): pattern
-// sizes whose balanced-cost floor already exceeds the best cost built so
-// far are skipped whole, and individual constructions abandon as soon as
-// their committed incidences bound them above the incumbent.  Both cuts
-// only remove attempts that lose the strict-< winner selection, so the
+// provably result-identical pruned mode (GcrmSearchOptions::prune): slices
+// whose pattern size's balanced-cost floor already exceeds the best cost
+// built so far are skipped whole, and individual constructions abandon as
+// soon as their committed incidences bound them above the incumbent.  Both
+// cuts only remove attempts that lose the strict-< winner selection, so the
 // pruned sweep returns the bit-identical (r, seed, cost) winner
-// (DESIGN.md "Pruned sweep invariants").
+// (DESIGN.md §12).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,9 +65,9 @@ struct GcrmSearchOptions {
 
 /// Seed of restart s at pattern size r: an independent splitmix64-derived
 /// stream per (r, s), via util::rng::split_seed.  A pure function of its
-/// three arguments — never of sweep order — so any partition of the (r, s)
-/// grid across tasks (serve::parallel_gcrm_search) draws exactly the
-/// constructions the sequential sweep draws.
+/// three arguments — never of sweep order — so any slicing of the (r, s)
+/// grid (gcrm_sweep) draws exactly the constructions the sequential sweep
+/// draws.
 [[nodiscard]] std::uint64_t gcrm_attempt_seed(std::uint64_t base_seed,
                                               std::int64_t r, std::int64_t s);
 
@@ -122,10 +132,29 @@ struct GcrmSearchResult {
 std::vector<std::int64_t> gcrm_feasible_sizes(std::int64_t P,
                                               std::int64_t max_r);
 
-/// Full sweep; `keep_samples` controls whether every attempt is recorded
-/// (Fig. 9) or only the winner retained (fast path for large sweeps).
-/// When `profile` is non-null the sweep's counters and per-phase timings
-/// are accumulated into it (+=, so one profile can span many sweeps).
+/// Executes a sweep's slices: must call run_slice(k) exactly once for every
+/// k in [0, count), in any order and from any threads, and return once all
+/// calls have returned.  Ascending k is the order the sweep prefers
+/// (descending r when pruning, so the incumbent tightens early).
+using GcrmSliceRunner = std::function<void(
+    std::size_t count, const std::function<void(std::size_t k)>& run_slice)>;
+
+/// The sweep behind gcrm_search and serve::parallel_gcrm_search.  Each
+/// size's restarts are cut into `slices_per_size` contiguous slices
+/// (clamped to [1, seeds]) and `runner` executes them; winner, cost bits
+/// and samples are the same for every slicing and every execution order.
+/// Pruning counters in `profile` may differ with the order.
+GcrmSearchResult gcrm_sweep(std::int64_t P, const GcrmSearchOptions& options,
+                            std::int64_t slices_per_size,
+                            const GcrmSliceRunner& runner,
+                            bool keep_samples = false,
+                            GcrmSweepProfile* profile = nullptr);
+
+/// Sequential sweep: one slice per size, run in order on this thread.
+/// `keep_samples` controls whether every attempt is recorded (Fig. 9) or
+/// only the winner retained (fast path for large sweeps).  When `profile`
+/// is non-null the sweep's counters and per-phase timings are accumulated
+/// into it (+=, so one profile can span many sweeps).
 GcrmSearchResult gcrm_search(std::int64_t P, const GcrmSearchOptions& options,
                              bool keep_samples = false,
                              GcrmSweepProfile* profile = nullptr);

@@ -47,8 +47,10 @@ void gemm(double alpha, std::span<const double> a, bool trans_a,
 // top-level build sets, or the compiler fuses them into FMAs.
 // target_clones compiles the one body per ISA and the loader picks the
 // widest variant the CPU has.  Rows and columns that do not fill a block
-// run a plain loop.
-#if defined(__x86_64__) && defined(__GNUC__)
+// run a plain loop.  ThreadSanitizer builds keep the default variant only:
+// GCC's clone resolvers run before the TSan runtime is up and crash every
+// binary at load.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 #define ANYBLOCK_TILE_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else

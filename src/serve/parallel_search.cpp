@@ -1,209 +1,28 @@
 #include "serve/parallel_search.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <limits>
-#include <stdexcept>
-#include <utility>
-#include <vector>
-
-#include "core/gcrm.hpp"
+#include <functional>
 
 namespace anyblock::serve {
-
-namespace {
-
-/// One task's contiguous slice of the sweep: all of pattern size `r`'s
-/// restarts in [s_begin, s_end).
-struct Slice {
-  std::int64_t r = 0;
-  std::int64_t s_begin = 0;
-  std::int64_t s_end = 0;
-};
-
-/// A slice's local reduction, holding exactly what the sequential sweep
-/// would keep had it only seen this slice: the cheapest balanced and the
-/// cheapest valid attempt (strict `<`, so the earliest attempt of equal
-/// cost survives — matching sequential tie-breaking when slices are merged
-/// in canonical order).
-struct SliceBest {
-  bool have_balanced = false;
-  double balanced_cost = 0.0;
-  core::Pattern balanced;
-  std::int64_t balanced_r = 0;
-  std::uint64_t balanced_seed = 0;
-
-  bool have_valid = false;
-  double valid_cost = 0.0;
-  core::Pattern valid;
-  std::int64_t valid_r = 0;
-  std::uint64_t valid_seed = 0;
-
-  std::vector<core::GcrmSample> samples;
-
-  /// Slice-local profile slice, merged deterministically after wait_all.
-  core::GcrmSweepProfile profile;
-  bool skipped = false;  ///< whole slice fell to the balanced-cost floor
-};
-
-/// Lowers `target` to `value` if smaller.  The threshold is a standalone
-/// monotone hint — no other data is published through it — so relaxed
-/// ordering suffices; a stale read only prunes less, never wrongly.
-void atomic_min(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-SliceBest reduce_slice(std::int64_t P, const core::GcrmSearchOptions& options,
-                       const Slice& slice, bool keep_samples,
-                       std::atomic<double>* threshold) {
-  SliceBest best;
-  if (threshold &&
-      core::gcrm_balanced_cost_floor(P, slice.r, options.balance_slack) >
-          threshold->load(std::memory_order_relaxed)) {
-    best.skipped = true;
-    best.profile.attempts_skipped += slice.s_end - slice.s_begin;
-    return best;
-  }
-  core::GcrmBuildControls controls;
-  controls.timings = &best.profile.timings;
-  for (std::int64_t s = slice.s_begin; s < slice.s_end; ++s) {
-    const std::uint64_t seed =
-        core::gcrm_attempt_seed(options.base_seed, slice.r, s);
-    if (threshold)
-      controls.abandon_above = threshold->load(std::memory_order_relaxed);
-    core::GcrmResult attempt = core::gcrm_build(P, slice.r, seed, controls);
-    if (attempt.abandoned) {
-      ++best.profile.attempts_abandoned;
-      continue;
-    }
-    ++best.profile.attempts_built;
-    const bool balanced =
-        attempt.valid && attempt.pattern.is_balanced(options.balance_slack);
-    if (keep_samples)
-      best.samples.push_back(
-          {slice.r, seed, attempt.cost, attempt.valid, balanced});
-    if (!attempt.valid) continue;
-    if (balanced) {
-      if (!best.have_balanced || attempt.cost < best.balanced_cost) {
-        best.have_balanced = true;
-        best.balanced_cost = attempt.cost;
-        best.balanced = attempt.pattern;
-        best.balanced_r = slice.r;
-        best.balanced_seed = seed;
-      }
-      if (threshold) atomic_min(*threshold, attempt.cost);
-    }
-    if (!best.have_valid || attempt.cost < best.valid_cost) {
-      best.have_valid = true;
-      best.valid_cost = attempt.cost;
-      best.valid = std::move(attempt.pattern);
-      best.valid_r = slice.r;
-      best.valid_seed = seed;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 core::GcrmSearchResult parallel_gcrm_search(
     std::int64_t P, const core::GcrmSearchOptions& options,
     runtime::TaskEngine& engine, bool keep_samples,
     core::GcrmSweepProfile* profile) {
-  if (P <= 0) throw std::invalid_argument("P must be positive");
-  const auto sweep_start = std::chrono::steady_clock::now();
-
-  // Slice the (r, s) grid in canonical sweep order.  Several slices per
-  // pattern size keep all workers busy even when few sizes are feasible;
-  // the exact slicing never affects the result, only load balance.
-  const std::vector<std::int64_t> sizes =
-      core::gcrm_feasible_sizes(P, core::gcrm_sweep_max_r(P, options));
-  const std::int64_t slices_per_size = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(engine.workers()), 1, options.seeds);
-  const std::int64_t chunk =
-      (options.seeds + slices_per_size - 1) / slices_per_size;
-  std::vector<Slice> slices;
-  for (const std::int64_t r : sizes)
-    for (std::int64_t s = 0; s < options.seeds; s += chunk)
-      slices.push_back({r, s, std::min(s + chunk, options.seeds)});
-
-  // Samples must record every attempt, so pruning turns off with them.
-  const bool prune = options.prune && !keep_samples;
-  std::atomic<double> threshold{std::numeric_limits<double>::infinity()};
-
-  std::vector<SliceBest> locals(slices.size());
-  // Pruned sweeps submit in descending-r order: winners empirically sit
-  // near max_r, so the shared incumbent tightens in the first slices and
-  // low-r slices fall to the cost floor.  locals stays indexed in
-  // canonical order either way.
-  for (std::size_t n = 0; n < slices.size(); ++n) {
-    const std::size_t i = prune ? slices.size() - 1 - n : n;
-    const runtime::HandleId slot = engine.register_data();
-    engine.submit(
-        [P, &options, &slices, &locals, &threshold, i, keep_samples, prune] {
-          locals[i] = reduce_slice(P, options, slices[i], keep_samples,
-                                   prune ? &threshold : nullptr);
-        },
-        {{slot, runtime::AccessMode::kWrite}}, /*priority=*/0,
-        "gcrm r=" + std::to_string(slices[i].r));
-  }
-  engine.wait_all();
-
-  // Canonical-order merge: replay the sequential selection over the slice
-  // reductions.  Balanced winners dominate; among equals the earlier slice
-  // (hence earlier attempt) wins because comparisons stay strict.
-  core::GcrmSearchResult result;
-  bool have_balanced = false;
-  double best_balanced_cost = 0.0;
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    SliceBest& local = locals[i];
-    if (keep_samples)
-      result.samples.insert(result.samples.end(),
-                            std::make_move_iterator(local.samples.begin()),
-                            std::make_move_iterator(local.samples.end()));
-    if (local.have_balanced &&
-        (!have_balanced || local.balanced_cost < best_balanced_cost)) {
-      have_balanced = true;
-      best_balanced_cost = local.balanced_cost;
-      result.best = std::move(local.balanced);
-      result.best_cost = local.balanced_cost;
-      result.best_r = local.balanced_r;
-      result.best_seed = local.balanced_seed;
-      result.found = true;
-    }
-    if (!have_balanced && local.have_valid &&
-        (!result.found || local.valid_cost < result.best_cost)) {
-      result.best = std::move(local.valid);
-      result.best_cost = local.valid_cost;
-      result.best_r = local.valid_r;
-      result.best_seed = local.valid_seed;
-      result.found = true;
-    }
-  }
-
-  if (profile) {
-    ++profile->searches;
-    profile->sizes_feasible += static_cast<std::int64_t>(sizes.size());
-    for (const SliceBest& local : locals) profile->merge(local.profile);
-    // A size counts as pruned when every one of its slices was skipped.
-    for (std::size_t i = 0; i < slices.size();) {
-      const std::int64_t r = slices[i].r;
-      bool all_skipped = true;
-      for (; i < slices.size() && slices[i].r == r; ++i)
-        all_skipped = all_skipped && locals[i].skipped;
-      if (all_skipped) ++profile->sizes_pruned;
-    }
-    profile->total_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sweep_start)
-            .count();
-  }
-  return result;
+  // One slice per worker and pattern size keeps every worker busy even
+  // when few sizes are feasible; the slicing never affects the result.
+  return core::gcrm_sweep(
+      P, options, static_cast<std::int64_t>(engine.workers()),
+      [&engine](std::size_t count,
+                const std::function<void(std::size_t)>& run_slice) {
+        for (std::size_t k = 0; k < count; ++k) {
+          const runtime::HandleId slot = engine.register_data();
+          engine.submit([&run_slice, k] { run_slice(k); },
+                        {{slot, runtime::AccessMode::kWrite}},
+                        /*priority=*/0, "gcrm slice");
+        }
+        engine.wait_all();
+      },
+      keep_samples, profile);
 }
 
 }  // namespace anyblock::serve

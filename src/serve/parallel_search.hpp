@@ -1,21 +1,12 @@
 // Deterministic parallel GCR&M sweep over runtime::TaskEngine.
 //
-// The sequential sweep (core::gcrm_search) is embarrassingly parallel:
-// every (r, s) attempt's seed is a pure function of (base_seed, r, s)
-// (core::gcrm_attempt_seed, built on util::rng::split_seed), so attempts
-// can run in any order on any worker and still draw the constructions the
-// sequential sweep draws.  The only order-sensitive part is the winner
-// selection — strict `<` comparisons make the earliest attempt win ties —
-// so each task reduces its contiguous slice of the (r, s) grid locally and
-// the slices are merged in canonical sweep order.  The result is bit-
-// identical to gcrm_search: same pattern, same cost, same samples.
-//
-// Pruning (GcrmSearchOptions::prune) carries over: slices share the
-// cheapest balanced cost built so far through one atomic, each slice
-// re-checks its size's balanced-cost floor against it before building
-// anything, and individual attempts abandon against a snapshot of it.
-// Stale snapshots only prune less, never more, so the winner stays
-// bit-identical to the sequential search (pruned or not).
+// core::gcrm_sweep owns the whole sweep: slicing the (r, s) grid, the
+// per-slice reduction, pruning against one shared threshold, and the
+// canonical-order merge that makes any execution order return the
+// sequential winner.  This file only schedules: it asks for one slice per
+// worker and pattern size, and submits each slice as an engine task.  The
+// result is bit-identical to core::gcrm_search (same pattern, cost,
+// winner coordinates and samples), pruned or not, at any worker count.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 
 #include "core/recommend.hpp"
 #include "serve/parallel_search.hpp"
+#include "serve/recommend_service.hpp"
 #include "store/pattern_store.hpp"
 
 namespace anyblock::serve {
@@ -64,13 +65,10 @@ PrecomputeReport precompute_winners(const PrecomputeOptions& options,
     if (memo) {
       core::RecommendOptions rec_options;
       rec_options.search = options.search;
-      const core::Recommendation rec =
-          core::recommend_symmetric_from_search(P, search, rec_options);
-      store::StoreKey key;
-      key.P = P;
-      key.metric = "symmetric";
-      key.search = options.search;
-      memo->put(key, {rec.pattern, rec.scheme, rec.cost, rec.rationale});
+      memo->put(
+          recommendation_key(P, core::Kernel::kCholesky, options.search),
+          recommendation_entry(core::recommend_symmetric_from_search(
+              P, search, rec_options)));
     }
     if (progress) progress(row);
     // Checkpoint: an interrupted multi-hour sweep resumes from here.

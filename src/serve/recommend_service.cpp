@@ -32,13 +32,17 @@ RecommendService::RecommendService(ServiceOptions options)
     table_usable_ = table_.options() == options_.recommend.search;
 }
 
-store::StoreKey RecommendService::key_for(std::int64_t P,
-                                          core::Kernel kernel) const {
+store::StoreKey recommendation_key(std::int64_t P, core::Kernel kernel,
+                                   const core::GcrmSearchOptions& search) {
   store::StoreKey key;
   key.P = P;
   key.metric = core::kernel_is_symmetric(kernel) ? "symmetric" : "lu";
-  key.search = options_.recommend.search;
+  key.search = search;
   return key;
+}
+
+store::StoreEntry recommendation_entry(const core::Recommendation& rec) {
+  return {rec.pattern, rec.scheme, rec.cost, rec.rationale};
 }
 
 ServedRecommendation RecommendService::answer_symmetric(std::int64_t P) {
@@ -80,7 +84,8 @@ ServedRecommendation RecommendService::answer_symmetric(std::int64_t P) {
 ServedRecommendation RecommendService::recommend(std::int64_t P,
                                                  core::Kernel kernel) {
   const auto start = std::chrono::steady_clock::now();
-  const store::StoreKey key = key_for(P, kernel);
+  const store::StoreKey key =
+      recommendation_key(P, kernel, options_.recommend.search);
 
   if (auto cached = store_.get(key)) {
     ServedRecommendation served;
@@ -115,12 +120,7 @@ ServedRecommendation RecommendService::recommend(std::int64_t P,
     }
   }
 
-  store::StoreEntry entry;
-  entry.pattern = served.rec.pattern;
-  entry.scheme = served.rec.scheme;
-  entry.cost = served.rec.cost;
-  entry.rationale = served.rec.rationale;
-  store_.put(key, std::move(entry));
+  store_.put(key, recommendation_entry(served.rec));
 
   served.seconds = seconds_since(start);
   cold_latency_.record_seconds(served.seconds);

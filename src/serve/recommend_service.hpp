@@ -53,6 +53,17 @@ enum class Source { kStore, kTable, kSearch };
 
 [[nodiscard]] const char* source_name(Source source);
 
+/// The pattern-store key a recommendation for (P, kernel) under `search`
+/// is memoized at: the one key precompute writes and every service reads.
+/// Symmetric kernels share one key (they share one pattern class).
+[[nodiscard]] store::StoreKey recommendation_key(
+    std::int64_t P, core::Kernel kernel,
+    const core::GcrmSearchOptions& search);
+
+/// The store entry memoizing `rec`.
+[[nodiscard]] store::StoreEntry recommendation_entry(
+    const core::Recommendation& rec);
+
 struct ServedRecommendation {
   core::Recommendation rec;
   Source source = Source::kSearch;
@@ -94,7 +105,6 @@ class RecommendService {
   [[nodiscard]] core::GcrmSweepProfile sweep_profile() const;
 
  private:
-  store::StoreKey key_for(std::int64_t P, core::Kernel kernel) const;
   ServedRecommendation answer_symmetric(std::int64_t P);
 
   ServiceOptions options_;

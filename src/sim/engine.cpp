@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "comm/config.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/implicit_workload.hpp"
@@ -379,20 +380,17 @@ class SimulatorCore {
   }
 
   /// Binomial broadcast step: the holder at `position` sends the tile to
-  /// positions position + 2^k for every 2^k > position still in range.
-  /// Uses remotes_ as filled by the caller.
+  /// its comm::for_each_tree_child children, the same tree comm forwards
+  /// along.  Uses remotes_ as filled by the caller.
   void forward_tree(InstanceHandle handle, std::int64_t instance_id,
                     std::int64_t position, std::int32_t from_node) {
     const auto m = static_cast<std::int64_t>(remotes_.size()) + 1;
-    for (std::int64_t step = 1; step < m; step *= 2) {
-      if (step <= position) continue;
-      const std::int64_t child = position + step;
-      if (child >= m) break;
+    comm::for_each_tree_child(position, m, [&](std::int64_t child) {
       const std::int32_t group_index =
           remotes_[static_cast<std::size_t>(child - 1)];
       send_tile(handle, from_node, Model::group_node(handle, group_index),
                 instance_id, group_index, 0, machine_.tile_bytes());
-    }
+    });
   }
 
   /// A pending transfer event referencing `instance` was consumed; when the

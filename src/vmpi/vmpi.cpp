@@ -1,6 +1,7 @@
 #include "vmpi/vmpi.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <exception>
@@ -228,6 +229,7 @@ class World {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::unique_lock<std::mutex> lock(box.mutex);
     while (true) {
+      throw_if_aborted();
       if (std::optional<Message> message = match(box, self, source, tag)) {
         lock.unlock();
         return receive_payload(self, std::move(*message));
@@ -245,6 +247,7 @@ class World {
     double wait_seconds = options.timeout_seconds;
     Clock::time_point deadline = Clock::now() + to_duration(wait_seconds);
     while (true) {
+      throw_if_aborted();
       if (std::optional<Message> message = match(box, self, source, tag)) {
         lock.unlock();
         return receive_payload(self, std::move(*message));
@@ -294,7 +297,8 @@ class World {
     if (faults_ != nullptr) return recv_any(self, default_recv_options_);
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::unique_lock<std::mutex> lock(box.mutex);
-    box.cv.wait(lock, [&] { return !box.messages.empty(); });
+    box.cv.wait(lock, [&] { return !box.messages.empty() || aborted(); });
+    throw_if_aborted();
     Message message = std::move(box.messages.front());
     box.messages.pop_front();
     lock.unlock();
@@ -310,6 +314,7 @@ class World {
     double wait_seconds = options.timeout_seconds;
     Clock::time_point deadline = Clock::now() + to_duration(wait_seconds);
     while (true) {
+      throw_if_aborted();
       if (std::optional<Message> message = match_any(box, self)) {
         lock.unlock();
         const Envelope envelope{message->source, message->tag};
@@ -336,6 +341,7 @@ class World {
 
   void barrier() {
     std::unique_lock<std::mutex> lock(barrier_mutex_);
+    throw_if_aborted();
     const std::int64_t generation = barrier_generation_;
     if (++barrier_arrived_ == local_rank_count_) {
       barrier_arrived_ = 0;
@@ -350,8 +356,25 @@ class World {
       ++barrier_generation_;
       barrier_cv_.notify_all();
     } else {
-      barrier_cv_.wait(lock, [&] { return barrier_generation_ != generation; });
+      barrier_cv_.wait(lock, [&] {
+        return barrier_generation_ != generation || aborted();
+      });
+      if (barrier_generation_ == generation) throw RunAborted();
     }
+  }
+
+  /// Marks the run aborted (a local rank body threw) and wakes every
+  /// waiter, so blocked recv, recv_any and barrier calls throw RunAborted.
+  /// Each lock is taken once after the flag is set: a waiter either sees the
+  /// flag before it sleeps or is asleep when the notify comes.
+  void abort() {
+    aborted_.store(true, std::memory_order_release);
+    for (Mailbox& box : mailboxes_) {
+      { const std::lock_guard<std::mutex> lock(box.mutex); }
+      box.cv.notify_all();
+    }
+    { const std::lock_guard<std::mutex> lock(barrier_mutex_); }
+    barrier_cv_.notify_all();
   }
 
   TrafficStats traffic(int rank) {
@@ -378,6 +401,14 @@ class World {
       return;
     }
     inject(dest, std::move(message));
+  }
+
+  [[nodiscard]] bool aborted() const {
+    return aborted_.load(std::memory_order_acquire);
+  }
+
+  void throw_if_aborted() const {
+    if (aborted()) throw RunAborted();
   }
 
   void check_dest(int dest) const {
@@ -686,6 +717,7 @@ class World {
   int local_rank_count_ = 0;
   std::uint64_t flow_namespace_ = 0;  ///< high bits stamped onto flow ids
   RecvOptions default_recv_options_;
+  std::atomic<bool> aborted_{false};
 
   std::mutex barrier_mutex_;
   std::condition_variable barrier_cv_;
@@ -882,8 +914,11 @@ RunReport run_ranks(int ranks, const std::function<void(RankContext&)>& body,
       try {
         RankContext ctx(world, r);
         body(ctx);
+      } catch (const RunAborted&) {
+        // Only ever the echo of another local rank's error, rethrown below.
       } catch (...) {
         errors[k] = std::current_exception();
+        world.abort();
       }
     });
   }

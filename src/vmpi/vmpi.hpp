@@ -109,6 +109,15 @@ class RecvTimeoutError : public std::runtime_error {
   int attempts_;
 };
 
+/// Another rank body of this run threw, so no message or barrier this rank
+/// waits for can be trusted to come: a recv, recv_any or barrier that finds
+/// the run aborted throws this instead of blocking forever.  run_ranks()
+/// rethrows the original error, never this one.
+class RunAborted : public std::runtime_error {
+ public:
+  RunAborted() : std::runtime_error("vmpi: run aborted by another rank") {}
+};
+
 class World;
 
 /// Handed to each rank's body; valid only during run_ranks().
@@ -193,8 +202,13 @@ struct RunOptions {
 };
 
 /// Spawns one thread per *local* rank running `body` and joins them; under
-/// the in-process backend every rank is local.  Exceptions thrown by a
-/// local rank body are rethrown (first one wins) after all threads joined.
+/// the in-process backend every rank is local.  When a local rank body
+/// throws, the run is aborted: every local rank blocked in (or later
+/// entering) recv, recv_any or barrier gets RunAborted, so the threads
+/// join instead of waiting for messages that will never come.  The first
+/// original exception (lowest local rank) is rethrown after all threads
+/// joined.  Ranks in other processes of a multi-process transport are not
+/// aborted.
 ///
 /// With a non-null `recorder`, every send/multisend/recv is recorded as an
 /// obs event on a per-rank track ("rank N"), carrying source/dest/tag/byte

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "core/cost.hpp"
@@ -295,6 +301,50 @@ TEST(PatternSearch, PruneFlagExcludedFromOptionsIdentity) {
   EXPECT_TRUE(a == b);
   b.seeds += 1;
   EXPECT_FALSE(a == b);
+}
+
+TEST(PatternSearch, SweepIsIndependentOfSlicingAndExecutionOrder) {
+  // gcrm_sweep's contract: any slicing and any execution order return the
+  // sequential winner bit for bit.  Reverse order runs a pruned sweep in
+  // ascending r, the opposite of the order it prefers.  At 10 seeds the
+  // cheapest balanced cost is tied only for P = 2 (within one size) and
+  // P = 3 (across sizes), so those two are what pin the canonical merge.
+  const GcrmSliceRunner reverse =
+      [](std::size_t count, const std::function<void(std::size_t)>& run) {
+        for (std::size_t k = count; k-- > 0;) run(k);
+      };
+  const GcrmSliceRunner shuffled =
+      [](std::size_t count, const std::function<void(std::size_t)>& run) {
+        std::vector<std::size_t> order(count);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::shuffle(order.begin(), order.end(), std::mt19937_64(count));
+        for (const std::size_t k : order) run(k);
+      };
+  for (const bool prune : {true, false}) {
+    GcrmSearchOptions options = fast_options();
+    options.prune = prune;
+    for (const std::int64_t P : {2, 3, 10, 17, 23, 31}) {
+      const GcrmSearchResult reference = gcrm_search(P, options);
+      ASSERT_TRUE(reference.found) << P;
+      for (const std::int64_t per_size : {std::int64_t{1}, std::int64_t{2},
+                                          std::int64_t{3}, options.seeds}) {
+        for (const GcrmSliceRunner* runner : {&reverse, &shuffled}) {
+          SCOPED_TRACE(testing::Message()
+                       << "prune=" << prune << " P=" << P << " slices="
+                       << per_size
+                       << (runner == &reverse ? " reverse" : " shuffled"));
+          const GcrmSearchResult result =
+              gcrm_sweep(P, options, per_size, *runner);
+          ASSERT_TRUE(result.found);
+          EXPECT_EQ(result.best_r, reference.best_r);
+          EXPECT_EQ(result.best_seed, reference.best_seed);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(result.best_cost),
+                    std::bit_cast<std::uint64_t>(reference.best_cost));
+          EXPECT_EQ(result.best, reference.best);
+        }
+      }
+    }
+  }
 }
 
 TEST(PatternSearch, WinnerCoordinatesReproduceTheWinner) {

@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "core/recommend.hpp"
 #include "runtime/task_engine.hpp"
+#include "serve/recommend_service.hpp"
 #include "store/winners_table.hpp"
 
 namespace anyblock::serve {
@@ -159,6 +161,36 @@ TEST(Precompute, CheckpointsAfterEveryRowByDefault) {
       });
   EXPECT_EQ(report.checkpoints, report.swept);
   std::remove(path.c_str());
+}
+
+TEST(Precompute, StoreServesEverySweptPWithoutASweep) {
+  // Precompute memoizes under the same key a service looks up, so a
+  // service on the precomputed store answers every swept P from it.
+  const std::string table_path = temp_path("precompute_memo.tsv");
+  const std::string store_path = temp_path("precompute_memo.store");
+  std::remove(table_path.c_str());
+  std::remove(store_path.c_str());
+  PrecomputeOptions options = fast_options(table_path);
+  options.store_path = store_path;
+  std::vector<std::int64_t> swept;
+  runtime::TaskEngine engine(2);
+  precompute_winners(options, engine, [&](const store::WinnerRow& row) {
+    swept.push_back(row.P);
+  });
+  ASSERT_FALSE(swept.empty());
+
+  ServiceOptions service_options;
+  service_options.store_path = store_path;
+  service_options.recommend.search = options.search;
+  RecommendService service(service_options);
+  for (const std::int64_t P : swept) {
+    SCOPED_TRACE(P);
+    EXPECT_EQ(service.recommend(P, core::Kernel::kCholesky).source,
+              Source::kStore);
+  }
+  EXPECT_EQ(service.stats().sweeps, 0);
+  std::remove(table_path.c_str());
+  std::remove(store_path.c_str());
 }
 
 TEST(Precompute, RejectsInvertedRange) {

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+
+#include "fault/fault.hpp"
 
 namespace anyblock::vmpi {
 namespace {
@@ -139,6 +142,39 @@ TEST(Vmpi, RankBodyExceptionPropagates) {
                              throw std::runtime_error("rank failure");
                          }),
                std::runtime_error);
+}
+
+/// Rank 2 throws at once while rank 0 waits in recv for a message from it
+/// and rank 1 waits in a barrier rank 2 never reaches.  Both waiters must
+/// get RunAborted and run_ranks must rethrow rank 2's own error.
+void expect_thrown_rank_aborts_the_run(fault::FaultInjector* injector) {
+  std::atomic<int> aborted{0};
+  const auto body = [&aborted](RankContext& ctx) {
+    try {
+      if (ctx.rank() == 0) ctx.recv(2, 7);
+      if (ctx.rank() == 1) ctx.barrier();
+    } catch (const RunAborted&) {
+      ++aborted;
+      throw;
+    }
+    if (ctx.rank() == 2) throw std::logic_error("rank 2 failed");
+  };
+  EXPECT_THROW(run_ranks(3, body, /*recorder=*/nullptr, injector),
+               std::logic_error);
+  EXPECT_EQ(aborted.load(), 2);
+}
+
+TEST(Vmpi, ThrowingRankAbortsBlockedRecvAndBarrier) {
+  expect_thrown_rank_aborts_the_run(nullptr);
+}
+
+TEST(Vmpi, ThrowingRankAbortsTimedRecvUnderFaults) {
+  // Under an injector recv takes the timed path; its default plan would
+  // retry for minutes before RecvTimeoutError.
+  fault::FaultPlan plan;
+  plan.drop = 0.1;
+  fault::FaultInjector injector(plan);
+  expect_thrown_rank_aborts_the_run(&injector);
 }
 
 }  // namespace

@@ -289,9 +289,6 @@ int cmd_precompute(int argc, char** argv) {
              "save the table after this many new rows (0 = only at the end)");
   parser.add("metrics", "",
              "write the sweep_* profile rows as an obs metrics CSV");
-  parser.add_flag("no-prune",
-                  "disable the result-identical sweep pruning (reference "
-                  "timing mode)");
   parser.add_flag("resume",
                   "keep rows already in the table (refuses a damaged table "
                   "or one swept with different options)");
@@ -301,7 +298,6 @@ int cmd_precompute(int argc, char** argv) {
   options.min_p = parser.get_int("min-p");
   options.max_p = parser.get_int("max-p");
   options.search.seeds = parser.get_int("seeds");
-  options.search.prune = !parser.get_flag("no-prune");
   options.table_path = parser.get("table");
   options.store_path = parser.get("store");
   options.resume = parser.get_flag("resume");
