@@ -92,39 +92,6 @@ std::int64_t exact_cholesky_volume(const Distribution& distribution,
   return exact_cholesky_messages(distribution, t, comm::CollectiveConfig{});
 }
 
-double predicted_syrk_volume(const Pattern& pattern, std::int64_t t,
-                             std::int64_t k) {
-  return static_cast<double>(k) * static_cast<double>(t) *
-         (cholesky_cost(pattern) - 1.0);
-}
-
-std::int64_t exact_syrk_volume(const Pattern& pattern, std::int64_t t,
-                               std::int64_t k) {
-  if (!pattern.is_square())
-    throw std::invalid_argument("exact_syrk_volume requires a square pattern");
-  const PatternDistribution dist_c(pattern, t, /*symmetric=*/true);
-  const PatternDistribution dist_a(pattern, t, /*symmetric=*/false);
-  DistinctCounter distinct(pattern.num_nodes());
-  std::int64_t volume = 0;
-
-  for (std::int64_t l = 0; l < k; ++l) {
-    for (std::int64_t i = 0; i < t; ++i) {
-      // A(i, l) feeds every update task on colrow i of C.
-      distinct.begin(dist_a.owner(i, l % t));
-      for (std::int64_t j = 0; j <= i; ++j) distinct.add(dist_c.owner(i, j));
-      for (std::int64_t m = i; m < t; ++m) distinct.add(dist_c.owner(m, i));
-      volume += distinct.count();
-    }
-  }
-  return volume;
-}
-
-double predicted_gemm_volume(const Pattern& pattern, std::int64_t t,
-                             std::int64_t k) {
-  return static_cast<double>(k) * static_cast<double>(t) *
-         (lu_cost(pattern) - 2.0);
-}
-
 namespace {
 
 std::vector<std::int64_t> message_profile(const Distribution& distribution,
@@ -254,29 +221,6 @@ std::vector<std::int64_t> lu_send_profile_25d(
 std::vector<std::int64_t> cholesky_send_profile_25d(
     const ReplicatedDistribution& distribution, std::int64_t t) {
   return send_profile_25d(distribution, t, /*symmetric=*/true);
-}
-
-std::int64_t exact_gemm_volume(const Pattern& pattern, std::int64_t t,
-                               std::int64_t k) {
-  const PatternDistribution dist_c(pattern, t, /*symmetric=*/false);
-  DistinctCounter distinct(pattern.num_nodes());
-  std::int64_t volume = 0;
-
-  for (std::int64_t l = 0; l < k; ++l) {
-    // A(i, l) feeds every GEMM task on row i of C.
-    for (std::int64_t i = 0; i < t; ++i) {
-      distinct.begin(dist_c.owner(i, l % t));
-      for (std::int64_t j = 0; j < t; ++j) distinct.add(dist_c.owner(i, j));
-      volume += distinct.count();
-    }
-    // B(l, j) feeds every GEMM task on column j of C.
-    for (std::int64_t j = 0; j < t; ++j) {
-      distinct.begin(dist_c.owner(l % t, j));
-      for (std::int64_t i = 0; i < t; ++i) distinct.add(dist_c.owner(i, j));
-      volume += distinct.count();
-    }
-  }
-  return volume;
 }
 
 }  // namespace anyblock::core

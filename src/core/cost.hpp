@@ -59,33 +59,6 @@ std::int64_t exact_lu_volume(const Distribution& distribution, std::int64_t t);
 std::int64_t exact_cholesky_volume(const Distribution& distribution,
                                    std::int64_t t);
 
-/// SYRK C := C - A*A^T with C of t x t tiles (lower) and A of t x k tiles:
-/// every panel tile A(i, l) travels along colrow i of C (no domain
-/// shrinking), so Q = k * t * (z-bar - 1) when the pattern side divides t.
-double predicted_syrk_volume(const Pattern& pattern, std::int64_t t,
-                             std::int64_t k);
-
-/// Exact owner-computes volume of the SYRK update.  C follows the pattern
-/// with symmetric lazy diagonal binding; A follows the same pattern
-/// replicated cyclically (column l of A uses pattern column l mod r) with
-/// non-symmetric binding.
-std::int64_t exact_syrk_volume(const Pattern& pattern, std::int64_t t,
-                               std::int64_t k);
-
-/// GEMM C := C + A*B with C of t x t tiles, A of t x k and B of k x t:
-/// A(i, l) travels along row i of C and B(l, j) down column j, so
-/// Q = k * t * (x-bar - 1 + y-bar - 1) = k * t * (T_LU - 2) when the
-/// pattern tiles the grid evenly.  For a square 2DBC grid this is the
-/// asymptotically optimal 2 t^2 / sqrt(P) tiles per node of Irony, Toledo
-/// and Tiskin (paper, Section II-A).
-double predicted_gemm_volume(const Pattern& pattern, std::int64_t t,
-                             std::int64_t k);
-
-/// Exact owner-computes volume of the GEMM update; C follows the pattern
-/// (non-symmetric binding), A inherits columns mod t, B inherits rows mod t.
-std::int64_t exact_gemm_volume(const Pattern& pattern, std::int64_t t,
-                               std::int64_t k);
-
 /// Closed-form message-count predictions per collective algorithm.
 ///
 /// Each published tile with d distinct remote consumers costs

@@ -10,13 +10,14 @@
 
 namespace anyblock::core {
 
-bool kernel_is_symmetric(Kernel kernel) { return kernel != Kernel::kLu; }
+bool kernel_is_symmetric(Kernel kernel) {
+  return kernel == Kernel::kCholesky;
+}
 
 std::string kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kLu: return "lu";
     case Kernel::kCholesky: return "cholesky";
-    case Kernel::kSyrk: return "syrk";
   }
   return "unknown";
 }

@@ -15,7 +15,7 @@
 
 namespace anyblock::core {
 
-enum class Kernel { kLu, kCholesky, kSyrk };
+enum class Kernel { kLu, kCholesky };
 
 struct RecommendOptions {
   /// Search effort for the GCR&M fallback (symmetric kernels only).
@@ -42,7 +42,7 @@ Recommendation recommend_pattern(std::int64_t P, Kernel kernel,
 /// whose GCR&M sweep is worth caching; the LU path is closed-form.
 [[nodiscard]] bool kernel_is_symmetric(Kernel kernel);
 
-/// Canonical lowercase kernel names ("lu" | "cholesky" | "syrk"), used by
+/// Canonical lowercase kernel names ("lu" | "cholesky"), used by
 /// the CLI and as part of the pattern store's digest key.
 [[nodiscard]] std::string kernel_name(Kernel kernel);
 

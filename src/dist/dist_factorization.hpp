@@ -19,7 +19,6 @@
 #include "core/replicated.hpp"
 #include "fault/fault.hpp"
 #include "linalg/tiled_matrix.hpp"
-#include "linalg/tiled_panel.hpp"
 #include "vmpi/vmpi.hpp"
 
 namespace anyblock::obs {
@@ -98,31 +97,5 @@ DistRunResult distributed_cholesky_25d(
     const comm::CollectiveConfig& config = {},
     obs::Recorder* recorder = nullptr,
     fault::FaultInjector* injector = nullptr);
-
-/// Distributed SYRK: C := C - A*A^T on the lower triangle of C.  C tiles
-/// follow `dist_c` (owner computes); A tiles follow `dist_a` with column l
-/// of A mapped through column l mod t — each panel tile is sent once to
-/// every distinct consumer on its C colrow, exactly as in the Cholesky
-/// panel broadcast (Fig. 2, right).
-DistRunResult distributed_syrk(const linalg::TiledMatrix& c_input,
-                               const linalg::TiledPanel& a_input,
-                               const core::Distribution& dist_c,
-                               const core::Distribution& dist_a,
-                               const comm::CollectiveConfig& config = {},
-                               obs::Recorder* recorder = nullptr,
-                               fault::FaultInjector* injector = nullptr);
-
-/// Distributed GEMM: C := C + A*B with A of t x k tiles and B of k x t.
-/// A(i, l) is broadcast along row i of C and B(l, j) down column j — the
-/// communication pattern whose per-node volume Irony/Toledo/Tiskin bound
-/// by 2 m^2 / sqrt(P) (paper, Section II-A).  A and B columns/rows map
-/// through `dist` modulo t.
-DistRunResult distributed_gemm(const linalg::TiledMatrix& c_input,
-                               const linalg::TiledPanel& a_input,
-                               const linalg::TiledPanel& b_input,
-                               const core::Distribution& dist,
-                               const comm::CollectiveConfig& config = {},
-                               obs::Recorder* recorder = nullptr,
-                               fault::FaultInjector* injector = nullptr);
 
 }  // namespace anyblock::dist

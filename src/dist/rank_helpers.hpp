@@ -5,7 +5,7 @@
 // GroupBuilder turns an ordered consumer list into a multicast group.  The
 // LU and Cholesky factorizations feed it the consumer rule of
 // core/consumers.hpp, the walk core's exact message counts sum over; the
-// SYRK, GEMM and solve groups list their consumers locally.
+// solve groups list their consumers locally.
 #pragma once
 
 #include <algorithm>

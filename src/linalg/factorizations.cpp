@@ -1,7 +1,5 @@
 #include "linalg/factorizations.hpp"
 
-#include <stdexcept>
-
 #include "linalg/kernels.hpp"
 
 namespace anyblock::linalg {
@@ -36,36 +34,6 @@ bool tiled_cholesky(TiledMatrix& a) {
     }
   }
   return true;
-}
-
-void tiled_gemm(const TiledPanel& a, const TiledPanel& b, TiledMatrix& c) {
-  if (a.tile_rows() != c.tiles() || b.tile_cols() != c.tiles() ||
-      a.tile_cols() != b.tile_rows() || a.tile_size() != c.tile_size() ||
-      b.tile_size() != c.tile_size())
-    throw std::invalid_argument("tiled_gemm: shape mismatch");
-  const std::int64_t t = c.tiles();
-  const std::int64_t k = a.tile_cols();
-  const std::int64_t nb = c.tile_size();
-  for (std::int64_t l = 0; l < k; ++l)
-    for (std::int64_t i = 0; i < t; ++i)
-      for (std::int64_t j = 0; j < t; ++j)
-        gemm(1.0, a.tile(i, l), false, b.tile(l, j), false, 1.0,
-             c.tile(i, j), nb);
-}
-
-void tiled_syrk(const TiledPanel& a, TiledMatrix& c) {
-  if (a.tile_rows() != c.tiles() || a.tile_size() != c.tile_size())
-    throw std::invalid_argument("tiled_syrk: panel/matrix shape mismatch");
-  const std::int64_t t = c.tiles();
-  const std::int64_t k = a.tile_cols();
-  const std::int64_t nb = c.tile_size();
-  for (std::int64_t l = 0; l < k; ++l) {
-    for (std::int64_t i = 0; i < t; ++i) {
-      syrk_update_lower(a.tile(i, l), c.tile(i, i), nb);
-      for (std::int64_t j = 0; j < i; ++j)
-        gemm_update_trans_b(a.tile(i, l), a.tile(j, l), c.tile(i, j), nb);
-    }
-  }
 }
 
 }  // namespace anyblock::linalg

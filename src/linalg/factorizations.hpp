@@ -6,7 +6,6 @@
 #pragma once
 
 #include "linalg/tiled_matrix.hpp"
-#include "linalg/tiled_panel.hpp"
 
 namespace anyblock::linalg {
 
@@ -18,15 +17,5 @@ bool tiled_lu_nopiv(TiledMatrix& a);
 /// above the diagonal are not referenced.  Returns false if not positive
 /// definite.
 bool tiled_cholesky(TiledMatrix& a);
-
-/// Tiled SYRK: C := C - A * A^T on the lower triangle of C, with A a
-/// rectangular t x k tile panel (C is t x t).  The symmetric update at the
-/// heart of the SBC/GCR&M communication analysis.
-void tiled_syrk(const TiledPanel& a, TiledMatrix& c);
-
-/// Tiled GEMM: C := C + A * B with A of t x k tiles and B of k x t (C is
-/// t x t) — the non-symmetric counterpart, whose communication bound the
-/// paper's Section II-A survey builds on.
-void tiled_gemm(const TiledPanel& a, const TiledPanel& b, TiledMatrix& c);
 
 }  // namespace anyblock::linalg

@@ -8,35 +8,7 @@ namespace {
 
 constexpr double kPivotTolerance = 1e-300;
 
-inline double elem(std::span<const double> m, std::int64_t nb, std::int64_t i,
-                   std::int64_t j, bool trans) {
-  return trans ? m[static_cast<std::size_t>(j * nb + i)]
-               : m[static_cast<std::size_t>(i * nb + j)];
-}
-
 }  // namespace
-
-void gemm(double alpha, std::span<const double> a, bool trans_a,
-          std::span<const double> b, bool trans_b, double beta,
-          std::span<double> c, std::int64_t nb) {
-  for (std::int64_t i = 0; i < nb; ++i) {
-    double* crow = c.data() + i * nb;
-    if (beta != 1.0) {
-      for (std::int64_t j = 0; j < nb; ++j) crow[j] *= beta;
-    }
-    for (std::int64_t k = 0; k < nb; ++k) {
-      const double aik = alpha * elem(a, nb, i, k, trans_a);
-      if (aik == 0.0) continue;
-      if (!trans_b) {
-        const double* brow = b.data() + k * nb;
-        for (std::int64_t j = 0; j < nb; ++j) crow[j] += aik * brow[j];
-      } else {
-        const double* bcol = b.data() + k;  // B^T row k = B column k
-        for (std::int64_t j = 0; j < nb; ++j) crow[j] += aik * bcol[j * nb];
-      }
-    }
-  }
-}
 
 // Every kernel below but the matrix-vector ones holds a kRows x kCols block
 // of its output in vector registers across a k loop.  Each element still sees

@@ -14,19 +14,13 @@
 // in the same order, and the same final division, reciprocal multiply or
 // square root (documented per kernel below).  Distributed, task-based and
 // sequential factorizations therefore agree bit for bit on any host.  The
-// general gemm and the matrix-vector kernels (gemv_*, trsv_*) are plain
-// loop nests.
+// matrix-vector kernels (gemv_*, trsv_*) are plain loop nests.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 namespace anyblock::linalg {
-
-/// C := alpha * op(A) * op(B) + beta * C, all nb x nb row-major.
-void gemm(double alpha, std::span<const double> a, bool trans_a,
-          std::span<const double> b, bool trans_b, double beta,
-          std::span<double> c, std::int64_t nb);
 
 /// C := C - A * B (the LU trailing update).  Per element: k ascending,
 /// c -= a_ik * b_kj.

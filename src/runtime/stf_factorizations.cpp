@@ -1,7 +1,6 @@
 #include "runtime/stf_factorizations.hpp"
 
 #include <atomic>
-#include <stdexcept>
 #include <vector>
 
 #include "linalg/kernels.hpp"
@@ -115,40 +114,6 @@ bool stf_cholesky(TaskEngine& engine, linalg::TiledMatrix& a) {
   }
   engine.wait_all();
   return ok.load();
-}
-
-void stf_syrk(TaskEngine& engine, const linalg::TiledPanel& a,
-              linalg::TiledMatrix& c) {
-  const std::int64_t t = c.tiles();
-  const std::int64_t k = a.tile_cols();
-  const std::int64_t nb = c.tile_size();
-  if (a.tile_rows() != t || a.tile_size() != nb)
-    throw std::invalid_argument("stf_syrk: panel shape mismatch");
-  const auto handles = register_tiles(engine, t);
-  const auto h = [&](std::int64_t i, std::int64_t j) {
-    return handles[static_cast<std::size_t>(i * t + j)];
-  };
-
-  // A is read-only: updates on distinct C tiles are independent across l
-  // too, so each task only serializes on its own output tile.
-  for (std::int64_t l = 0; l < k; ++l) {
-    for (std::int64_t i = 0; i < t; ++i) {
-      engine.submit(
-          [&a, &c, l, i, nb] {
-            linalg::syrk_update_lower(a.tile(i, l), c.tile(i, i), nb);
-          },
-          {{h(i, i), AccessMode::kReadWrite}}, 0, "syrk");
-      for (std::int64_t j = 0; j < i; ++j) {
-        engine.submit(
-            [&a, &c, l, i, j, nb] {
-              linalg::gemm_update_trans_b(a.tile(i, l), a.tile(j, l),
-                                          c.tile(i, j), nb);
-            },
-            {{h(i, j), AccessMode::kReadWrite}}, 0, "gemm");
-      }
-    }
-  }
-  engine.wait_all();
 }
 
 }  // namespace anyblock::runtime

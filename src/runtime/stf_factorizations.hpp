@@ -8,7 +8,6 @@
 #pragma once
 
 #include "linalg/tiled_matrix.hpp"
-#include "linalg/tiled_panel.hpp"
 #include "runtime/task_engine.hpp"
 
 namespace anyblock::runtime {
@@ -19,9 +18,5 @@ bool stf_lu_nopiv(TaskEngine& engine, linalg::TiledMatrix& a);
 
 /// Task-parallel lower Cholesky.  Returns false if not positive definite.
 bool stf_cholesky(TaskEngine& engine, linalg::TiledMatrix& a);
-
-/// Task-parallel SYRK: C := C - A*A^T (lower), A a t x k tile panel.
-void stf_syrk(TaskEngine& engine, const linalg::TiledPanel& a,
-              linalg::TiledMatrix& c);
 
 }  // namespace anyblock::runtime

@@ -11,7 +11,6 @@
 #include "comm/config.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/implicit_workload.hpp"
 #include "sim/pool.hpp"
 #include "sim/workload_25d.hpp"
 #include "util/stopwatch.hpp"
@@ -26,7 +25,6 @@ const char* task_type_name(TaskType type) {
     case TaskType::kTrsm: return "trsm";
     case TaskType::kGemm: return "gemm";
     case TaskType::kSyrk: return "syrk";
-    case TaskType::kLoad: return "load";
     case TaskType::kFlush: return "flush";
     case TaskType::kReduce: return "reduce";
   }
@@ -39,7 +37,6 @@ const char* task_type_name(TaskType type) {
 std::int64_t priority_key(const TaskView& task) {
   int rank = 3;
   switch (task.type) {
-    case TaskType::kLoad:
     case TaskType::kFlush:
     case TaskType::kReduce:
     case TaskType::kGetrf:
@@ -674,15 +671,6 @@ SimReport simulate_cholesky_25d(
   return simulate_model(machine, [&] {
     return Implicit25dWorkload(SimKernel::kCholesky, t, distribution,
                                machine);
-  });
-}
-
-SimReport simulate_syrk(std::int64_t t, std::int64_t k,
-                        const core::Distribution& dist_c,
-                        const core::Distribution& dist_a,
-                        const MachineConfig& machine) {
-  return simulate_model(machine, [&] {
-    return ImplicitWorkload(t, k, dist_c, dist_a, machine);
   });
 }
 

@@ -72,10 +72,6 @@ SimReport simulate_lu(std::int64_t t, const core::Distribution& distribution,
 SimReport simulate_cholesky(std::int64_t t,
                             const core::Distribution& distribution,
                             const MachineConfig& machine);
-SimReport simulate_syrk(std::int64_t t, std::int64_t k,
-                        const core::Distribution& dist_c,
-                        const core::Distribution& dist_a,
-                        const MachineConfig& machine);
 
 /// LU and Cholesky under the replicated schedule (sim/workload_25d.hpp):
 /// machine.nodes must equal distribution.num_nodes() = base nodes * memory

@@ -1,5 +1,5 @@
 // Implicit (generator-driven) task DAGs: the simulator's only source of
-// LU, Cholesky and SYRK graphs.
+// LU and Cholesky graphs.
 //
 // Materializing the graph would hold every task up front: O(t^3) tasks
 // plus instance/waiter vectors — ~40 GB for LU at t = 2048, which would cap
@@ -29,10 +29,9 @@
 // Peak memory is O(t^2); the Cholesky acceptance run (P = 4096, t = 2048,
 // 1.4e9 tasks) fits in a few hundred MB.
 //
-// This header holds the frontier and instance pool every generator shares
-// (ImplicitFrontier) and the SYRK generator.  LU and Cholesky, at every
-// memory factor, are Implicit25dWorkload (sim/workload_25d.hpp); its
-// one-layer case is the 2D schedule.
+// This header holds the frontier and instance pool (ImplicitFrontier).  The
+// generator is Implicit25dWorkload (sim/workload_25d.hpp), for LU and
+// Cholesky at every memory factor; its one-layer case is the 2D schedule.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +40,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/distribution.hpp"
 #include "sim/machine.hpp"
 #include "sim/pool.hpp"
 
@@ -89,8 +87,8 @@ inline std::int64_t triangular_row(std::int64_t s) {
 }
 
 /// The dense dependency frontier and the pooled published-instance state
-/// every implicit generator shares.  The derived constructor fills
-/// task_base_ and inst_base_ (the first ordinal of each iteration block,
+/// of an implicit generator.  The derived constructor fills task_base_ and
+/// inst_base_ (the first ordinal of each iteration block, starting at 0,
 /// plus the end) and calls reset_blocks(); `Derived` supplies
 /// `fill_deps(l, counts)`, which appends the closed-form unmet-dependency
 /// counts of block l, and builds consumer groups through begin_instance /
@@ -174,15 +172,15 @@ class ImplicitFrontier {
   }
 
   /// Dependency blocks: iteration l holds task ordinals
-  /// [iteration_begin(l), iteration_begin(l + 1)); ordinals below
-  /// iteration_begin(0) are initially ready and never satisfied.
+  /// [iteration_begin(l), iteration_begin(l + 1)); block 0 starts at
+  /// ordinal 0.
   [[nodiscard]] std::int64_t iterations() const {
     return static_cast<std::int64_t>(task_base_.size()) - 1;
   }
   [[nodiscard]] std::int64_t iteration_begin(std::int64_t l) const {
     return task_base_[static_cast<std::size_t>(l)];
   }
-  /// Block of task ordinal `id` (-1 below the first block).
+  /// Block of task ordinal `id`.
   [[nodiscard]] std::int64_t iteration_of(std::int64_t id) const {
     return block_of(task_base_, id);
   }
@@ -298,68 +296,6 @@ class ImplicitFrontier {
   std::int64_t deps_peak_ = 0;
   std::int64_t live_count_ = 0;
   std::int64_t live_peak_ = 0;
-};
-
-/// SYRK C -= A A^T as a generator.  (LU and Cholesky run on
-/// Implicit25dWorkload, whose one-layer case is the 2D schedule.)
-class ImplicitWorkload : public ImplicitFrontier<ImplicitWorkload> {
- public:
-  /// C (t x t, lower, `dist_c`) -= A A^T with A of t x k tiles on `dist_a`
-  /// (column l mapped through l mod t).
-  ImplicitWorkload(std::int64_t t, std::int64_t k,
-                   const core::Distribution& dist_c,
-                   const core::Distribution& dist_a,
-                   const MachineConfig& machine);
-
-  [[nodiscard]] std::int64_t task_count() const { return task_count_; }
-  [[nodiscard]] std::int64_t instance_count() const { return instance_count_; }
-  [[nodiscard]] double total_flops() const { return total_flops_; }
-
-  /// Tasks with no dependencies, in ordinal order (the engine seeds the
-  /// ready queues from these at time zero): every A-tile load.
-  template <class F>
-  void for_each_initially_ready(F&& f) const {
-    for (std::int64_t id = 0; id < t_ * k_; ++id) f(id);
-  }
-
-  /// Full decode of one task ordinal (owner lookup included).
-  [[nodiscard]] TaskView task(std::int64_t id) const;
-
-  /// Builds the consumer groups of `instance`, published by the decoded
-  /// producer `task`.  Must be called exactly once, when the producer
-  /// finishes.
-  InstanceHandle publish(std::int64_t instance, const TaskView& task);
-
-  /// Appends the closed-form unmet-dependency count at creation of every
-  /// task in dependency block l (A column l's updates), in ordinal order.
-  void fill_deps(std::int64_t l, std::vector<std::uint8_t>& counts) const;
-
- private:
-  struct Decoded {
-    TaskType type;
-    std::int64_t l, i, j;
-  };
-
-  [[nodiscard]] Decoded decode(std::int64_t id) const;
-  [[nodiscard]] std::int32_t checked(core::NodeId node) const {
-    if (node < 0 || node >= machine_->nodes)
-      throw std::invalid_argument("task node outside the machine");
-    return static_cast<std::int32_t>(node);
-  }
-  /// Update block of row i for A column l (after the loads): SYRK(i, i)
-  /// sits here, GEMM(i, j) at + 1 + j.
-  [[nodiscard]] std::int64_t syrk_row(std::int64_t l, std::int64_t i) const {
-    return t_ * k_ + l * (t_ * (t_ + 1) / 2) + i * (i + 1) / 2;
-  }
-
-  std::int64_t t_ = 0;
-  std::int64_t k_ = 0;  ///< inner tile count (columns of A)
-  const core::Distribution* dist_c_ = nullptr;
-  const core::Distribution* dist_a_ = nullptr;
-  const MachineConfig* machine_ = nullptr;
-  std::int64_t task_count_ = 0;
-  std::int64_t instance_count_ = 0;
-  double total_flops_ = 0.0;
 };
 
 }  // namespace anyblock::sim

@@ -29,7 +29,6 @@ double MachineConfig::task_flops(TaskType type) const {
     case TaskType::kTrsm: return linalg::trsm_flops(tile_size);
     case TaskType::kGemm: return linalg::gemm_flops(tile_size);
     case TaskType::kSyrk: return linalg::syrk_flops(tile_size);
-    case TaskType::kLoad: return 0.0;
     case TaskType::kFlush: return 0.0;
     case TaskType::kReduce:
       // Element-wise add of one received partial sum into the home tile.

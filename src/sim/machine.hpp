@@ -22,19 +22,17 @@ class Recorder;
 
 namespace anyblock::sim {
 
-/// kLoad models an already-resident input tile (zero compute): its only
-/// effect is publishing the tile so remote consumers receive a message.
-/// kFlush and kReduce are 2.5D-only: a flush publishes a remote layer's
-/// partial sum toward the tile's home replica (zero compute, like kLoad);
-/// a reduce adds one received partial into the home tile (tile_size^2
-/// flops).  Neither exists at memory factor c = 1.
+/// The tasks of the LU and Cholesky DAGs: one tile kernel each (kSyrk and
+/// kGemm are the trailing updates).  kFlush and kReduce are 2.5D-only: a
+/// flush publishes a remote layer's partial sum toward the tile's home
+/// replica (zero compute); a reduce adds one received partial into the
+/// home tile (tile_size^2 flops).  Neither exists at memory factor c = 1.
 enum class TaskType : std::uint8_t {
   kGetrf,
   kPotrf,
   kTrsm,
   kGemm,
   kSyrk,
-  kLoad,
   kFlush,
   kReduce
 };

@@ -1,9 +1,9 @@
 // Materialized task graph: the representation sim::simulate runs.
 //
-// The simulator generates its LU, Cholesky and SYRK graphs implicitly
-// (sim/implicit_workload.hpp, sim/workload_25d.hpp).  A Workload holds a
-// graph in full instead, for hand-built cases and for the test oracles
-// (tests/sim/oracle/) that check the generators.  It is:
+// The simulator generates its LU and Cholesky graphs implicitly
+// (sim/workload_25d.hpp).  A Workload holds a graph in full instead, for
+// hand-built cases and for the test oracles (tests/sim/oracle/) that check
+// the generator.  It is:
 //   * a flat task table (type, iteration, tile, owner node) with a
 //     precomputed dependency count,
 //   * per-tile *chains* (the sequence of tasks writing a tile runs on its

@@ -188,7 +188,6 @@ TaskView Implicit25dWorkload::task(std::int64_t id) const {
       break;
     }
     case TaskType::kFlush:
-    case TaskType::kLoad:
       break;
   }
   return view;

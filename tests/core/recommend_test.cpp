@@ -66,15 +66,6 @@ TEST(Recommend, CholeskyPicksGcrmElsewhere) {
   }
 }
 
-TEST(Recommend, SyrkUsesTheSymmetricPath) {
-  const Recommendation chol =
-      recommend_pattern(21, Kernel::kCholesky, fast_options());
-  const Recommendation syrk =
-      recommend_pattern(21, Kernel::kSyrk, fast_options());
-  EXPECT_EQ(chol.scheme, syrk.scheme);
-  EXPECT_DOUBLE_EQ(chol.cost, syrk.cost);
-}
-
 TEST(Recommend, PatternsAreUsable) {
   for (const std::int64_t P : {10, 23}) {
     for (const Kernel kernel : {Kernel::kLu, Kernel::kCholesky}) {

@@ -26,6 +26,21 @@ TEST(SimulateCli, RejectsTheRemovedQueueOption) {
       << result.output;
 }
 
+TEST(SimulateCli, EveryKernelCommandRejectsSyrk) {
+  // The CLI knows LU and Cholesky only; SYRK is not a synonym for either.
+  for (const char* command :
+       {"recommend --nodes 23", "simulate --nodes 4 --size 4000",
+        "run --nodes 4 --tiles 4 --tile 8"}) {
+    const CliResult result =
+        run_cli(std::string(command) + " --kernel syrk");
+    EXPECT_NE(result.exit_code, 0) << command << "\n" << result.output;
+    EXPECT_NE(
+        result.output.find("unknown kernel: syrk (expected lu|cholesky)"),
+        std::string::npos)
+        << command << "\n" << result.output;
+  }
+}
+
 TEST(SimulateCli, RejectsTheMaterializedWorkloadMode) {
   const CliResult result = run_cli(
       "simulate --kernel lu --nodes 4 --size 4000 "

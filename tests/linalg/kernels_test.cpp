@@ -75,27 +75,6 @@ TEST(Kernels, GemmUpdateTransBMatchesReference) {
       EXPECT_NEAR(got(i, j), expected(i, j), 1e-12);
 }
 
-TEST(Kernels, GeneralGemmAlphaBetaTranspose) {
-  Rng rng(3);
-  const auto a = random_tile(rng);
-  const auto b = random_tile(rng);
-  auto c = random_tile(rng);
-  const DenseMatrix expected = [&] {
-    DenseMatrix prod = DenseMatrix::multiply(as_dense(a).transposed(),
-                                             as_dense(b).transposed());
-    DenseMatrix e = as_dense(c);
-    for (std::int64_t i = 0; i < kNb; ++i)
-      for (std::int64_t j = 0; j < kNb; ++j)
-        e(i, j) = 0.5 * prod(i, j) + 2.0 * e(i, j);
-    return e;
-  }();
-  gemm(0.5, a, /*trans_a=*/true, b, /*trans_b=*/true, 2.0, c, kNb);
-  const DenseMatrix got = as_dense(c);
-  for (std::int64_t i = 0; i < kNb; ++i)
-    for (std::int64_t j = 0; j < kNb; ++j)
-      EXPECT_NEAR(got(i, j), expected(i, j), 1e-12);
-}
-
 TEST(Kernels, SyrkUpdatesOnlyLowerTriangle) {
   Rng rng(4);
   const auto a = random_tile(rng);

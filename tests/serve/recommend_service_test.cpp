@@ -73,15 +73,6 @@ TEST(RecommendService, LuQueriesAreMemoizedToo) {
   EXPECT_EQ(service.stats().lu_builds, 1);
 }
 
-TEST(RecommendService, SyrkSharesTheSymmetricEntry) {
-  // Cholesky and SYRK use the same z-bar metric: one cached entry serves
-  // both kernels.
-  RecommendService service(fast_service());
-  (void)service.recommend(23, core::Kernel::kCholesky);
-  EXPECT_EQ(service.recommend(23, core::Kernel::kSyrk).source,
-            Source::kStore);
-}
-
 TEST(RecommendService, BatchAnswersInInputOrderAndMemoizesDuplicates) {
   RecommendService service(fast_service());
   const std::vector<std::int64_t> nodes = {7, 23, 7, 23};

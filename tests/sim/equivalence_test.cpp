@@ -1,6 +1,6 @@
-// Golden equivalence suite for the implicit generators against their test
+// Golden equivalence suite for the implicit generator against its test
 // oracles: the materialized graph of tests/sim/oracle/, run through
-// sim::simulate, and the generator behind simulate_lu/cholesky/syrk must
+// sim::simulate, and the generator behind simulate_lu/cholesky must
 // produce bit-identical simulations — same makespan, same per-node
 // task/message counters, same obs metric rows — for every factorization,
 // distribution family, and collective.  Also holds the 64-bit task-id
@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/implicit_workload.hpp"
 #include "sim/oracle/materialized_workload.hpp"
 #include "sim/workload.hpp"
 #include "sim/workload_25d.hpp"
@@ -30,7 +29,7 @@
 namespace anyblock::sim {
 namespace {
 
-enum class Kernel { kLu, kCholesky, kSyrk };
+enum class Kernel { kLu, kCholesky };
 
 /// Which side of the comparison runs: the oracle graph through
 /// sim::simulate, or the generator behind the kernel entry point.
@@ -62,7 +61,6 @@ MachineConfig machine_for(std::int64_t nodes, comm::Algorithm algorithm) {
 }
 
 constexpr std::int64_t kT = 20;  ///< tile grid side used by trajectory tests
-constexpr std::int64_t kSyrkK = 7;
 
 SimReport run_kernel(Kernel kernel, const DistCase& dist,
                      const MachineConfig& machine, Path mode) {
@@ -81,13 +79,6 @@ SimReport run_kernel(Kernel kernel, const DistCase& dist,
                                    kT, core::one_layer(d), machine),
                                machine)
                     : simulate_cholesky(kT, d, machine);
-    }
-    case Kernel::kSyrk: {
-      const core::PatternDistribution c(dist.pattern, kT, true);
-      const core::PatternDistribution a(dist.pattern, kT, false);
-      return oracle ? simulate(build_syrk_workload(kT, kSyrkK, c, a, machine),
-                               machine)
-                    : simulate_syrk(kT, kSyrkK, c, a, machine);
     }
   }
   throw std::logic_error("unreachable");
@@ -119,8 +110,7 @@ void expect_identical_reports(const SimReport& a, const SimReport& b) {
 
 TEST(ModeEquivalence, TrajectoriesMatchAcrossKernelsDistributionsCollectives) {
   for (const DistCase& dist : dist_cases()) {
-    for (const Kernel kernel :
-         {Kernel::kLu, Kernel::kCholesky, Kernel::kSyrk}) {
+    for (const Kernel kernel : {Kernel::kLu, Kernel::kCholesky}) {
       for (const comm::Algorithm algorithm :
            {comm::Algorithm::kEagerP2P, comm::Algorithm::kBinomialTree,
             comm::Algorithm::kPipelinedChain}) {
@@ -144,8 +134,7 @@ TEST(ModeEquivalence, ObsMetricRowsAreIdentical) {
   // Same trace-derived metrics CSV byte for byte: the sim_* events carry
   // the same names, times, tags and flows in both modes.
   const DistCase dist{"g2dbc_p23", core::make_g2dbc(23), 23};
-  for (const Kernel kernel :
-       {Kernel::kLu, Kernel::kCholesky, Kernel::kSyrk}) {
+  for (const Kernel kernel : {Kernel::kLu, Kernel::kCholesky}) {
     std::string csv[2];
     for (const Path mode : {Path::kMaterialized, Path::kImplicit}) {
       obs::Recorder recorder;
@@ -196,10 +185,10 @@ void expect_same_structure(const Workload& work, Model& model) {
             model.instance_count());
   EXPECT_NEAR(work.total_flops, model.total_flops(),
               1e-9 * (work.total_flops + 1.0));
-  // Closed-form dependency counts: the initially ready ordinals, then every
-  // iteration's block fill, in ordinal order.
-  std::vector<std::uint8_t> deps(
-      static_cast<std::size_t>(model.iteration_begin(0)), 0);
+  // Closed-form dependency counts: every iteration's block fill, in ordinal
+  // order.
+  ASSERT_EQ(model.iteration_begin(0), 0);
+  std::vector<std::uint8_t> deps;
   for (std::int64_t l = 0; l < model.iterations(); ++l)
     model.fill_deps(l, deps);
   ASSERT_EQ(deps.size(), work.tasks.size());
@@ -259,14 +248,6 @@ TEST(ImplicitStructure, MatchesMaterializedBuilderEverywhere) {
       const Workload work = build_cholesky_workload_25d(t, d, machine);
       Implicit25dWorkload model(SimKernel::kCholesky, t, d, machine);
       SCOPED_TRACE(std::string("cholesky ") + dist.name);
-      expect_same_structure(work, model);
-    }
-    {
-      const core::PatternDistribution c(dist.pattern, t, true);
-      const core::PatternDistribution a(dist.pattern, t, false);
-      const Workload work = build_syrk_workload(t, 5, c, a, machine);
-      ImplicitWorkload model(t, 5, c, a, machine);
-      SCOPED_TRACE(std::string("syrk ") + dist.name);
       expect_same_structure(work, model);
     }
   }

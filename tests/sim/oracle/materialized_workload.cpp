@@ -7,11 +7,11 @@
 namespace anyblock::sim {
 namespace {
 
-/// Incremental builder sharing the chain/instance bookkeeping of every
-/// materialized generator.  Chains are keyed by (tile, layer): a task
+/// Incremental builder sharing the chain/instance bookkeeping of the LU and
+/// Cholesky builders.  Chains are keyed by (tile, layer): a task
 /// writing tile (i, j) on layer q chains after the previous writer of that
-/// tile *on the same layer* (same node, no communication).  SYRK and
-/// one-layer factorizations use layer 0 only, so the key is the tile.
+/// tile *on the same layer* (same node, no communication).  One-layer
+/// factorizations use layer 0 only, so the key is the tile.
 class WorkloadBuilder {
  public:
   WorkloadBuilder(std::int64_t t, std::int64_t layers,
@@ -42,19 +42,6 @@ class WorkloadBuilder {
     last_writer_[key] = id;
     work_.tasks.push_back(task);
     work_.total_flops += machine_.task_flops(type);
-    return id;
-  }
-
-  /// Creates a zero-cost task on `node` standing for an input tile that is
-  /// already resident there (SYRK's A panel).
-  std::int64_t add_load_task(std::int64_t node) {
-    const auto id = static_cast<std::int64_t>(work_.tasks.size());
-    SimTask task;
-    task.type = TaskType::kLoad;
-    task.l = task.i = task.j = -1;
-    task.node = static_cast<std::int32_t>(node);
-    task.deps = 0;
-    work_.tasks.push_back(task);
     return id;
   }
 
@@ -222,43 +209,6 @@ Workload build_cholesky_workload_25d(
         const std::int64_t gemm = add(TaskType::kGemm, i, j);
         builder.consume(gemm, i, l);
         builder.consume(gemm, j, l);
-      }
-    }
-  }
-  return builder.take();
-}
-
-Workload build_syrk_workload(std::int64_t t, std::int64_t k,
-                             const core::Distribution& dist_c,
-                             const core::Distribution& dist_a,
-                             const MachineConfig& machine) {
-  if (t <= 0 || k <= 0)
-    throw std::invalid_argument("tile grids must be positive");
-  WorkloadBuilder builder(t, 1, machine);
-
-  // A tiles: resident inputs, one published instance each.
-  std::vector<std::int64_t> a_instance(static_cast<std::size_t>(t * k));
-  for (std::int64_t i = 0; i < t; ++i) {
-    for (std::int64_t l = 0; l < k; ++l) {
-      const std::int64_t load = builder.add_load_task(dist_a.owner(i, l % t));
-      a_instance[static_cast<std::size_t>(i * k + l)] =
-          builder.publish_instance(load);
-    }
-  }
-  const auto a_inst = [&](std::int64_t i, std::int64_t l) {
-    return a_instance[static_cast<std::size_t>(i * k + l)];
-  };
-
-  for (std::int64_t l = 0; l < k; ++l) {
-    for (std::int64_t i = 0; i < t; ++i) {
-      const std::int64_t syrk =
-          builder.add_task(TaskType::kSyrk, l, i, i, dist_c.owner(i, i));
-      builder.consume_instance(syrk, a_inst(i, l));
-      for (std::int64_t j = 0; j < i; ++j) {
-        const std::int64_t gemm =
-            builder.add_task(TaskType::kGemm, l, i, j, dist_c.owner(i, j));
-        builder.consume_instance(gemm, a_inst(i, l));
-        builder.consume_instance(gemm, a_inst(j, l));
       }
     }
   }

@@ -3,8 +3,7 @@
 //
 // Each build_* function emits the whole task graph up front as a
 // sim::Workload, in the construction order whose ordinals the implicit
-// generators (Implicit25dWorkload, ImplicitWorkload) reproduce from closed
-// forms.
+// generator (Implicit25dWorkload) reproduces from closed forms.
 // Run through sim::simulate, a built graph must simulate the same
 // trajectory as the generator does (tests/sim/equivalence*_test.cpp), and
 // the structure tests compare the two task for task.  The simulator itself
@@ -32,16 +31,6 @@ Workload build_lu_workload_25d(std::int64_t t,
 Workload build_cholesky_workload_25d(
     std::int64_t t, const core::ReplicatedDistribution& distribution,
     const MachineConfig& machine);
-
-/// Builds the SYRK task graph C -= A*A^T for C of t x t tiles (lower,
-/// owned per `dist_c`) and A of t x k tiles (owned per `dist_a`, column l
-/// mapped through column l mod t).  A tiles enter as zero-cost kLoad tasks
-/// so their broadcast along C colrows is charged to the network like any
-/// published tile.
-Workload build_syrk_workload(std::int64_t t, std::int64_t k,
-                             const core::Distribution& dist_c,
-                             const core::Distribution& dist_a,
-                             const MachineConfig& machine);
 
 /// Tile messages the eager protocol will send for `work` (remote groups).
 [[nodiscard]] std::int64_t message_count(const Workload& work);

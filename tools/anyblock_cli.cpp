@@ -59,9 +59,8 @@ namespace {
 core::Kernel parse_kernel(const std::string& name) {
   if (name == "lu") return core::Kernel::kLu;
   if (name == "cholesky") return core::Kernel::kCholesky;
-  if (name == "syrk") return core::Kernel::kSyrk;
   throw std::invalid_argument("unknown kernel: " + name +
-                              " (expected lu|cholesky|syrk)");
+                              " (expected lu|cholesky)");
 }
 
 /// --memory-factor c stacks c replicas of a P/c-node base pattern into a
@@ -164,7 +163,7 @@ int cmd_recommend(int argc, char** argv) {
   parser.add("batch", "", "comma-separated node counts, e.g. 23,31,39");
   parser.add("batch-file", "",
              "file with one node count per line ('#' starts a comment)");
-  parser.add("kernel", "lu", "lu | cholesky | syrk");
+  parser.add("kernel", "lu", "lu | cholesky");
   parser.add("memory-factor", "1",
              "2.5D replication factor c: recommend a P/c-node base pattern "
              "to stack on c layers (c must divide every P)");
@@ -482,10 +481,6 @@ int cmd_simulate(int argc, char** argv) {
   const std::int64_t P = parser.get_int("nodes");
   const std::int64_t t = parser.get_int("size") / parser.get_int("tile");
   const core::Kernel kernel = parse_kernel(parser.get("kernel"));
-  if (kernel == core::Kernel::kSyrk) {
-    std::fprintf(stderr, "simulate supports lu|cholesky\n");
-    return 1;
-  }
   const std::int64_t memory_factor = parser.get_int("memory-factor");
   if (!validate_memory_factor("simulate", memory_factor, P)) return 1;
   core::RecommendOptions options;
@@ -662,10 +657,6 @@ int cmd_run(int argc, char** argv) {
   const std::int64_t t = parser.get_int("tiles");
   const std::int64_t nb = parser.get_int("tile");
   const core::Kernel kernel = parse_kernel(parser.get("kernel"));
-  if (kernel == core::Kernel::kSyrk) {
-    std::fprintf(stderr, "run supports lu|cholesky\n");
-    return 1;
-  }
   const bool symmetric = kernel == core::Kernel::kCholesky;
   const std::int64_t memory_factor = parser.get_int("memory-factor");
   if (!validate_memory_factor("run", memory_factor, P)) return 1;
