@@ -203,7 +203,7 @@ DistRunResult run_factorization(const TiledMatrix& input,
     detail::gather_to_root(store, ctx, t, distribution,
                            /*lower_only=*/symmetric, result.factored,
                            out_mutex, t * t);
-  }, recorder, injector);
+  }, {recorder, injector});
 
   result.ok = ok.load();
   for (const auto count : factor_messages) result.tile_messages += count;

@@ -295,7 +295,7 @@ DistSolveResult run_solve(const linalg::TiledMatrix& input,
         ctx.send(0, tags.gather(i), bwd_segments.at(tags.bwd_segment(i)));
       }
     }
-  }, recorder, injector);
+  }, {recorder, injector});
 
   result.ok = ok.load();
   for (const auto c : factor_counts) result.factor_messages += c;

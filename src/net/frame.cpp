@@ -66,12 +66,6 @@ std::string encode_data(const vmpi::WireMessage& message) {
   return seal(std::move(frame));
 }
 
-std::string encode_barrier(std::uint64_t generation) {
-  std::string frame = open_frame(FrameType::kBarrier);
-  append<std::uint64_t>(frame, generation);
-  return seal(std::move(frame));
-}
-
 std::string encode_blob(int process, std::string_view bytes) {
   std::string frame = open_frame(FrameType::kBlob);
   append<std::int32_t>(frame, process);
@@ -115,13 +109,12 @@ Frame decode_frame(std::string_view body) {
       if (count > (body.size() - offset) / sizeof(double))
         throw std::runtime_error("net: truncated data frame payload");
       frame.message.data.resize(count);
-      std::memcpy(frame.message.data.data(), body.data() + offset,
-                  count * sizeof(double));
+      // An empty payload's data() may be null, which memcpy must not get.
+      if (count > 0)
+        std::memcpy(frame.message.data.data(), body.data() + offset,
+                    count * sizeof(double));
       return frame;
     }
-    case FrameType::kBarrier:
-      frame.generation = take<std::uint64_t>(body, offset);
-      return frame;
     case FrameType::kBlob: {
       frame.process = take<std::int32_t>(body, offset);
       const auto size = take<std::uint64_t>(body, offset);

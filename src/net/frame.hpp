@@ -7,10 +7,12 @@
 //                 frame on every connection; the acceptor learns who dialed.
 //   kData         the vmpi::WireMessage envelope: i32 source, i32 dest,
 //                 i64 tag, u64 flow, u64 seq, u64 count, count doubles.
-//   kBarrier      u64 generation — full-mesh barrier marker.
 //   kBlob         i32 process, u64 size, bytes — gather contribution.
 //   kBlobAll      u64 count, then per process u64 size + bytes — the
 //                 assembled allgather result, broadcast by process 0.
+//
+// Type 3 stays unassigned so the other types keep their wire values; it
+// decodes as an unknown type.
 //
 // Encoding returns the full frame (prefix included); decode_frame takes the
 // body (prefix already consumed by the connection's reassembly buffer) and
@@ -36,14 +38,12 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 27;
 enum class FrameType : std::uint8_t {
   kHello = 1,
   kData = 2,
-  kBarrier = 3,
   kBlob = 4,
   kBlobAll = 5,
 };
 
 std::string encode_hello(int process);
 std::string encode_data(const vmpi::WireMessage& message);
-std::string encode_barrier(std::uint64_t generation);
 std::string encode_blob(int process, std::string_view bytes);
 std::string encode_blob_all(const std::vector<std::string>& blobs);
 
@@ -51,7 +51,6 @@ std::string encode_blob_all(const std::vector<std::string>& blobs);
 struct Frame {
   FrameType type = FrameType::kHello;
   int process = -1;                ///< kHello, kBlob
-  std::uint64_t generation = 0;    ///< kBarrier
   vmpi::WireMessage message;       ///< kData
   std::string blob;                ///< kBlob
   std::vector<std::string> blobs;  ///< kBlobAll

@@ -36,7 +36,7 @@ void set_nonblocking(int fd) {
 
 void set_nodelay(int fd) {
   const int one = 1;
-  // Barrier markers and small envelopes must not sit in Nagle's buffer.
+  // Small envelopes and gather frames must not sit in Nagle's buffer.
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
@@ -332,23 +332,6 @@ void SocketTransport::deliver(vmpi::WireMessage&& message) {
     pending_.push_back(std::move(message));
 }
 
-void SocketTransport::barrier() {
-  if (config_.process_count == 1) return;
-  const std::uint64_t generation = ++barrier_generation_;
-  const std::string marker = encode_barrier(generation);
-  for (int p = 0; p < config_.process_count; ++p)
-    if (p != config_.process_index) post(p, marker);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] {
-    return first_lost_ >= 0 ||
-           barrier_arrivals_[generation] == config_.process_count - 1;
-  });
-  if (barrier_arrivals_[generation] != config_.process_count - 1)
-    throw PeerLostError(first_lost_, "net: barrier failed: " +
-                                         lost_reason_locked(first_lost_));
-  barrier_arrivals_.erase(generation);
-}
-
 std::vector<std::string> SocketTransport::gather_blobs(
     const std::string& local) {
   if (config_.process_count == 1) return {local};
@@ -436,11 +419,6 @@ void SocketTransport::dispatch(Frame&& frame) {
     case FrameType::kData:
       deliver(std::move(frame.message));
       return;
-    case FrameType::kBarrier: {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++barrier_arrivals_[frame.generation];
-      break;
-    }
     case FrameType::kBlob: {
       const std::lock_guard<std::mutex> lock(mutex_);
       blob_queues_[static_cast<std::size_t>(frame.process)].push_back(
@@ -468,7 +446,6 @@ void SocketTransport::peer_lost(int process, const std::string& reason) {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::string& lost = lost_[static_cast<std::size_t>(process)];
     if (lost.empty()) lost = reason;
-    if (first_lost_ < 0) first_lost_ = process;
   }
   cv_.notify_all();
 }

@@ -14,23 +14,19 @@
 // sink; per (source, dest, tag) order is preserved because each ordered
 // pair of processes shares exactly one FIFO stream.
 //
-// Collectives: barrier() sends a generation-stamped marker to every peer
-// and waits for everyone's marker — connection FIFO then guarantees all
-// pre-barrier sends have reached their sinks.  gather_blobs() funnels
-// through process 0 (kBlob up, kBlobAll down).
+// Stats gather: gather_blobs(), the one collective, funnels through
+// process 0 (kBlob up, kBlobAll down).
 //
-// A vanished peer fails its connection, records a reason, and wakes every
-// blocked collective.  A collective that needs the lost peer throws
-// PeerLostError instead of hanging: a barrier needs every peer, the gather
-// root every peer, a non-root gather only process 0 (so peers that finish
-// and exit first cannot abort it).
+// A vanished peer fails its connection, records a reason, and wakes a
+// blocked gather.  A gather that needs the lost peer throws PeerLostError
+// instead of hanging: the gather root needs every peer, a non-root gather
+// only process 0 (so peers that finish and exit first cannot abort it).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -61,8 +57,8 @@ struct SocketTransportConfig {
 std::vector<int> ranks_of_process(int world_size, int process_count,
                                   int process);
 
-/// A collective could not complete because a peer process it needs
-/// disconnected or failed.
+/// A gather could not complete, or a send could not be queued, because a
+/// peer process it needs disconnected or failed.
 class PeerLostError : public std::runtime_error {
  public:
   PeerLostError(int process, const std::string& what);
@@ -97,7 +93,6 @@ class SocketTransport final : public vmpi::Transport {
   void send(vmpi::WireMessage message) override;
   void attach(Sink sink) override;
   void detach() override;
-  void barrier() override;
   std::vector<std::string> gather_blobs(const std::string& local) override;
 
  private:
@@ -131,15 +126,11 @@ class SocketTransport final : public vmpi::Transport {
   Sink sink_;
   std::deque<vmpi::WireMessage> pending_;  ///< arrivals while detached
 
-  std::uint64_t barrier_generation_ = 0;  ///< callers are serialized
-
-  std::mutex mutex_;  ///< collective state below
+  std::mutex mutex_;  ///< gather state below
   std::condition_variable cv_;
-  std::map<std::uint64_t, int> barrier_arrivals_;
   std::vector<std::deque<std::string>> blob_queues_;   ///< process 0 only
   std::deque<std::vector<std::string>> blob_results_;  ///< processes != 0
   std::vector<std::string> lost_;  ///< per process: why it vanished, or ""
-  int first_lost_ = -1;            ///< first vanished process, if any
 };
 
 }  // namespace anyblock::net

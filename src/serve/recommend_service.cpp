@@ -21,6 +21,7 @@ const char* source_name(Source source) {
   switch (source) {
     case Source::kStore: return "store";
     case Source::kTable: return "table";
+    case Source::kClosedForm: return "closed-form";
     case Source::kSearch: return "search";
   }
   return "unknown";
@@ -115,7 +116,7 @@ ServedRecommendation RecommendService::recommend(std::int64_t P,
       }
     } else {
       served.rec = core::recommend_lu(P);
-      served.source = Source::kSearch;
+      served.source = Source::kClosedForm;
       ++stats_.lu_builds;
     }
   }

@@ -48,8 +48,10 @@ struct ServiceOptions {
   core::RecommendOptions recommend;
 };
 
-/// Where an answer came from (cost order: store < table < search).
-enum class Source { kStore, kTable, kSearch };
+/// Where an answer came from: the store, the winners table, the closed-form
+/// G-2DBC construction (LU, no search runs) or a GCR&M search.  The store
+/// is the cheapest source and a search the dearest.
+enum class Source { kStore, kTable, kClosedForm, kSearch };
 
 [[nodiscard]] const char* source_name(Source source);
 

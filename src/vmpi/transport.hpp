@@ -5,8 +5,10 @@
 // semantics — mailbox matching, per-(source, tag) stream ordering, the
 // at-least-once/dedup reliability protocol, fault injection, traffic
 // counters, obs events.  All of that sits *above* this seam.  A Transport
-// only answers two questions: which ranks live in this OS process, and how
-// does a framed envelope reach a rank that does not.
+// covers exactly what run_ranks() needs of a backend: placement (which
+// ranks live in this OS process), send (how an envelope reaches a rank that
+// does not), the inbound sink, and one gather that merges the per-process
+// stats into a global RunReport.
 //
 // Two backends exist:
 //   * in-process (the default, `transport == nullptr`): every rank is a
@@ -46,9 +48,10 @@ struct WireMessage {
   Payload data;
 };
 
-/// Backend interface.  All methods except send() and the sink are called
-/// from rank threads; send() may be called from any rank thread
-/// concurrently and must preserve per (source, dest, tag) send order.
+/// Backend interface.  send() may be called from any rank thread
+/// concurrently and must preserve per (source, dest, tag) send order; the
+/// sink runs on the transport's own thread; attach(), detach() and
+/// gather_blobs() are called by run_ranks() on its calling thread.
 class Transport {
  public:
   virtual ~Transport();
@@ -75,16 +78,9 @@ class Transport {
   virtual void attach(Sink sink) = 0;
   virtual void detach() = 0;
 
-  /// Process-level barrier, one call per process per generation.  On
-  /// return, every message any process sent before entering the barrier
-  /// has been handed to its destination sink — the delivery-visibility
-  /// guarantee the in-process backend gets for free from its synchronous
-  /// mailbox push.
-  virtual void barrier() = 0;
-
-  /// Allgather of one opaque blob per process (index = process index).
-  /// Synchronizes like barrier(); used to merge per-rank traffic and fault
-  /// counters into a global RunReport.
+  /// Allgather of one opaque blob per process (index = process index),
+  /// called once per run after the local rank bodies joined; used to merge
+  /// per-rank traffic and fault counters into a global RunReport.
   virtual std::vector<std::string> gather_blobs(const std::string& local) = 0;
 };
 

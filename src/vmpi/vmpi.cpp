@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -127,15 +132,12 @@ class World {
       local_.assign(static_cast<std::size_t>(ranks), 0);
       for (const int r : transport_->local_ranks())
         local_[static_cast<std::size_t>(r)] = 1;
-      local_rank_count_ = static_cast<int>(transport_->local_ranks().size());
       // Namespace trace flow ids by process so the per-process trace files
       // of one mesh merge with their send→recv arrows intact.
       if (transport_->process_count() > 1)
         flow_namespace_ =
             (static_cast<std::uint64_t>(transport_->process_index()) + 1)
             << 48;
-    } else {
-      local_rank_count_ = ranks;
     }
     // Sinks are registered up front, before the rank threads start, so
     // each thread only ever appends to its own pre-existing track.
@@ -221,160 +223,63 @@ class World {
     }
   }
 
-  Payload recv(int self, int source, std::int64_t tag) {
-    // Under a fault injector every receive is transparently timeout-aware,
-    // otherwise the original block-forever fast path runs.
-    if (faults_ != nullptr)
-      return recv(self, source, tag, default_recv_options_);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    while (true) {
-      throw_if_aborted();
-      if (std::optional<Message> message = match(box, self, source, tag)) {
-        lock.unlock();
-        return receive_payload(self, std::move(*message));
-      }
-      box.cv.wait(lock);
-    }
-  }
-
+  /// The one receive loop.  With `options` every wait is bounded: on a
+  /// timeout the missing message is retransmitted (fault runs) and the wait
+  /// doubles, until RecvTimeoutError escapes after options->max_retries
+  /// retransmissions.  Without options the wait has no deadline, except
+  /// under a fault injector, which lends every receive the plan's options.
   Payload recv(int self, int source, std::int64_t tag,
-               const RecvOptions& options) {
-    check_options(options);
+               const RecvOptions* options) {
+    if (options == nullptr && faults_ != nullptr)
+      options = &default_recv_options_;
+    int attempt = 0;
+    double wait_seconds = 0.0;
+    Clock::time_point deadline;
+    if (options != nullptr) {
+      check_options(*options);
+      wait_seconds = options->timeout_seconds;
+      deadline = Clock::now() + to_duration(wait_seconds);
+    }
+    bool timed_out = false;
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::unique_lock<std::mutex> lock(box.mutex);
-    int attempt = 0;
-    double wait_seconds = options.timeout_seconds;
-    Clock::time_point deadline = Clock::now() + to_duration(wait_seconds);
     while (true) {
       throw_if_aborted();
+      // After a timeout this match still takes a message that raced it.
       if (std::optional<Message> message = match(box, self, source, tag)) {
         lock.unlock();
         return receive_payload(self, std::move(*message));
       }
-      if (box.cv.wait_until(lock, deadline) != std::cv_status::timeout)
-        continue;
-      if (std::optional<Message> message = match(box, self, source, tag)) {
-        // The message raced the timeout; take it.
-        lock.unlock();
-        return receive_payload(self, std::move(*message));
+      if (timed_out) {
+        timed_out = false;
+        if (faults_ != nullptr) faults_->note_timeout_wait();
+        record_fault(self, "timeout", source, self, tag);
+        if (attempt >= options->max_retries)
+          throw RecvTimeoutError(source, tag, attempt + 1);
+        ++attempt;
+        retransmit(box, lock, self, source, tag, attempt);
+        wait_seconds *= 2.0;
+        deadline = Clock::now() + to_duration(wait_seconds);
+        continue;  // the retransmission may already sit in the mailbox
       }
-      if (faults_ != nullptr) faults_->note_timeout_wait();
-      record_fault(self, "timeout", source, self, tag);
-      if (attempt >= options.max_retries)
-        throw RecvTimeoutError(source, tag, attempt + 1);
-      ++attempt;
-      retransmit(box, lock, self, source, tag, /*any_tag=*/false, attempt);
-      wait_seconds *= 2.0;
-      deadline = Clock::now() + to_duration(wait_seconds);
-    }
-  }
-
-  std::optional<Envelope> probe(int self) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
-    const std::lock_guard<std::mutex> lock(box.mutex);
-    if (faults_ == nullptr) {
-      if (box.messages.empty()) return std::nullopt;
-      return Envelope{box.messages.front().source, box.messages.front().tag};
-    }
-    for (auto it = box.messages.begin(); it != box.messages.end();) {
-      const StreamKey key{it->source, it->tag};
-      const std::uint64_t expected = box.next_recv_seq[key];
-      if (it->seq < expected) {
-        discard_duplicate(box, it, self);
-        continue;
-      }
-      if (it->seq != expected) {
-        ++it;  // out of order: not consumable yet
-        continue;
-      }
-      return Envelope{it->source, it->tag};
-    }
-    return std::nullopt;
-  }
-
-  std::pair<Envelope, Payload> recv_any(int self) {
-    if (faults_ != nullptr) return recv_any(self, default_recv_options_);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    box.cv.wait(lock, [&] { return !box.messages.empty() || aborted(); });
-    throw_if_aborted();
-    Message message = std::move(box.messages.front());
-    box.messages.pop_front();
-    lock.unlock();
-    const Envelope envelope{message.source, message.tag};
-    return {envelope, receive_payload(self, std::move(message))};
-  }
-
-  std::pair<Envelope, Payload> recv_any(int self, const RecvOptions& options) {
-    check_options(options);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    int attempt = 0;
-    double wait_seconds = options.timeout_seconds;
-    Clock::time_point deadline = Clock::now() + to_duration(wait_seconds);
-    while (true) {
-      throw_if_aborted();
-      if (std::optional<Message> message = match_any(box, self)) {
-        lock.unlock();
-        const Envelope envelope{message->source, message->tag};
-        return {envelope, receive_payload(self, std::move(*message))};
-      }
-      if (box.cv.wait_until(lock, deadline) != std::cv_status::timeout)
-        continue;
-      if (std::optional<Message> message = match_any(box, self)) {
-        lock.unlock();
-        const Envelope envelope{message->source, message->tag};
-        return {envelope, receive_payload(self, std::move(*message))};
-      }
-      if (faults_ != nullptr) faults_->note_timeout_wait();
-      record_fault(self, "timeout", kAnySource, self, /*tag=*/0);
-      if (attempt >= options.max_retries)
-        throw RecvTimeoutError(kAnySource, /*tag=*/0, attempt + 1);
-      ++attempt;
-      retransmit(box, lock, self, kAnySource, /*tag=*/0, /*any_tag=*/true,
-                 attempt);
-      wait_seconds *= 2.0;
-      deadline = Clock::now() + to_duration(wait_seconds);
-    }
-  }
-
-  void barrier() {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    throw_if_aborted();
-    const std::int64_t generation = barrier_generation_;
-    if (++barrier_arrived_ == local_rank_count_) {
-      barrier_arrived_ = 0;
-      if (transport_ != nullptr && transport_->process_count() > 1) {
-        // The last local arriver performs the cross-process rendezvous.
-        // Every other local rank is parked waiting for the generation
-        // bump, so nothing races the released lock.
-        lock.unlock();
-        transport_->barrier();
-        lock.lock();
-      }
-      ++barrier_generation_;
-      barrier_cv_.notify_all();
-    } else {
-      barrier_cv_.wait(lock, [&] {
-        return barrier_generation_ != generation || aborted();
-      });
-      if (barrier_generation_ == generation) throw RunAborted();
+      if (options == nullptr)
+        box.cv.wait(lock);
+      else
+        timed_out =
+            box.cv.wait_until(lock, deadline) == std::cv_status::timeout;
     }
   }
 
   /// Marks the run aborted (a local rank body threw) and wakes every
-  /// waiter, so blocked recv, recv_any and barrier calls throw RunAborted.
-  /// Each lock is taken once after the flag is set: a waiter either sees the
-  /// flag before it sleeps or is asleep when the notify comes.
+  /// waiter, so blocked recv calls throw RunAborted.  Each lock is taken
+  /// once after the flag is set: a waiter either sees the flag before it
+  /// sleeps or is asleep when the notify comes.
   void abort() {
     aborted_.store(true, std::memory_order_release);
     for (Mailbox& box : mailboxes_) {
       { const std::lock_guard<std::mutex> lock(box.mutex); }
       box.cv.notify_all();
     }
-    { const std::lock_guard<std::mutex> lock(barrier_mutex_); }
-    barrier_cv_.notify_all();
   }
 
   TrafficStats traffic(int rank) {
@@ -500,62 +405,26 @@ class World {
   /// Caller holds the mailbox lock and runs on rank `self`'s thread.
   std::optional<Message> match(Mailbox& box, int self, int source,
                                std::int64_t tag) {
-    if (faults_ == nullptr) {
-      for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
-        if (it->tag != tag) continue;
-        if (source != kAnySource && it->source != source) continue;
-        Message message = std::move(*it);
-        box.messages.erase(it);
-        return message;
-      }
-      return std::nullopt;
-    }
     for (auto it = box.messages.begin(); it != box.messages.end();) {
-      if (it->tag != tag || (source != kAnySource && it->source != source)) {
+      if (it->tag != tag || it->source != source) {
         ++it;
         continue;
       }
-      const StreamKey key{it->source, it->tag};
-      const std::uint64_t expected = box.next_recv_seq[key];
-      if (it->seq < expected) {
-        discard_duplicate(box, it, self);
-        continue;
-      }
-      if (it->seq != expected) {
-        ++it;
-        continue;
+      if (faults_ != nullptr) {
+        const StreamKey key{source, tag};
+        const std::uint64_t expected = box.next_recv_seq[key];
+        if (it->seq < expected) {
+          discard_duplicate(box, it, self);
+          continue;
+        }
+        if (it->seq != expected) {
+          ++it;
+          continue;
+        }
+        consume(box, key, expected);
       }
       Message message = std::move(*it);
       box.messages.erase(it);
-      consume(box, key, expected);
-      return message;
-    }
-    return std::nullopt;
-  }
-
-  /// match() without a (source, tag) filter: the oldest consumable message
-  /// of any stream.
-  std::optional<Message> match_any(Mailbox& box, int self) {
-    if (faults_ == nullptr) {
-      if (box.messages.empty()) return std::nullopt;
-      Message message = std::move(box.messages.front());
-      box.messages.pop_front();
-      return message;
-    }
-    for (auto it = box.messages.begin(); it != box.messages.end();) {
-      const StreamKey key{it->source, it->tag};
-      const std::uint64_t expected = box.next_recv_seq[key];
-      if (it->seq < expected) {
-        discard_duplicate(box, it, self);
-        continue;
-      }
-      if (it->seq != expected) {
-        ++it;
-        continue;
-      }
-      Message message = std::move(*it);
-      box.messages.erase(it);
-      consume(box, key, expected);
       return message;
     }
     return std::nullopt;
@@ -574,31 +443,27 @@ class World {
   }
 
   /// Receiver-driven recovery: redelivers the earliest unconsumed retained
-  /// message of every stream the waiting receive could match.  Each
+  /// message of the (source, tag) stream the receive waits on.  The
   /// retransmission passes through the injector again with the bumped
   /// attempt number, so it can itself be dropped or delayed — which is what
   /// the caller's exponential backoff is for.  Temporarily releases the
   /// mailbox lock (delivery re-acquires it).
   void retransmit(Mailbox& box, std::unique_lock<std::mutex>& lock, int self,
-                  int source, std::int64_t tag, bool any_tag, int attempt) {
+                  int source, std::int64_t tag, int attempt) {
     if (faults_ == nullptr) return;
-    std::vector<Message> pending;
-    for (auto& [key, retained] : box.retention) {
-      if (!any_tag && key.tag != tag) continue;
-      if (source != kAnySource && key.source != source) continue;
-      if (retained.empty()) continue;
-      if (retained.front().seq == box.next_recv_seq[key])
-        pending.push_back(retained.front());
-    }
-    if (pending.empty()) return;  // nothing sent yet, or already in flight
+    const StreamKey key{source, tag};
+    const auto retained = box.retention.find(key);
+    // Nothing sent yet, or the next message is already in flight.
+    if (retained == box.retention.end() || retained->second.empty() ||
+        retained->second.front().seq != box.next_recv_seq[key])
+      return;
+    Message message = retained->second.front();
     lock.unlock();
-    for (Message& message : pending) {
-      faults_->note_retry();
-      record_fault(self, "retry", message.source, self, message.tag);
-      const fault::Fate fate = faults_->fate_of(
-          message.source, self, message.tag, message.seq, attempt);
-      apply_fate(self, std::move(message), fate, /*record=*/false);
-    }
+    faults_->note_retry();
+    record_fault(self, "retry", source, self, tag);
+    const fault::Fate fate =
+        faults_->fate_of(source, self, tag, message.seq, attempt);
+    apply_fate(self, std::move(message), fate, /*record=*/false);
     lock.lock();
   }
 
@@ -714,15 +579,9 @@ class World {
   fault::FaultInjector* faults_;
   Transport* transport_;
   std::vector<char> local_;  ///< per-rank locality (empty when no transport)
-  int local_rank_count_ = 0;
   std::uint64_t flow_namespace_ = 0;  ///< high bits stamped onto flow ids
   RecvOptions default_recv_options_;
   std::atomic<bool> aborted_{false};
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  std::int64_t barrier_generation_ = 0;
 
   std::mutex delay_mutex_;
   std::condition_variable delay_cv_;
@@ -748,57 +607,12 @@ void RankContext::multisend(const std::vector<int>& dests, std::int64_t tag,
 }
 
 Payload RankContext::recv(int source, std::int64_t tag) {
-  return world_.recv(rank_, source, tag);
+  return world_.recv(rank_, source, tag, /*options=*/nullptr);
 }
 
 Payload RankContext::recv(int source, std::int64_t tag,
                           const RecvOptions& options) {
-  return world_.recv(rank_, source, tag, options);
-}
-
-std::optional<Envelope> RankContext::probe() { return world_.probe(rank_); }
-
-std::pair<Envelope, Payload> RankContext::recv_any() {
-  return world_.recv_any(rank_);
-}
-
-std::pair<Envelope, Payload> RankContext::recv_any(const RecvOptions& options) {
-  return world_.recv_any(rank_, options);
-}
-
-void RankContext::barrier() { world_.barrier(); }
-
-Payload RankContext::broadcast(int root, Payload data) {
-  // Internal tags live in a reserved negative band so they never collide
-  // with application tags (tile ids are non-negative).
-  constexpr std::int64_t kBcastTag = -1000;
-  if (rank_ == root) {
-    std::vector<int> dests;
-    dests.reserve(static_cast<std::size_t>(size()) - 1);
-    for (int dest = 0; dest < size(); ++dest) {
-      if (dest != root) dests.push_back(dest);
-    }
-    multisend(dests, kBcastTag, data);
-    return data;
-  }
-  return recv(root, kBcastTag);
-}
-
-Payload RankContext::allreduce_sum(Payload data) {
-  constexpr std::int64_t kGatherTag = -2000;
-  constexpr std::int64_t kResultTag = -3000;
-  if (rank_ == 0) {
-    for (int source = 1; source < size(); ++source) {
-      const Payload part = recv(source, kGatherTag);
-      if (part.size() != data.size())
-        throw std::invalid_argument("allreduce_sum: size mismatch");
-      for (std::size_t k = 0; k < data.size(); ++k) data[k] += part[k];
-    }
-    for (int dest = 1; dest < size(); ++dest) send(dest, kResultTag, data);
-    return data;
-  }
-  send(0, kGatherTag, std::move(data));
-  return recv(0, kResultTag);
+  return world_.recv(rank_, source, tag, &options);
 }
 
 TrafficStats RankContext::traffic() const { return world_.traffic(rank_); }
@@ -951,14 +765,6 @@ RunReport run_ranks(int ranks, const std::function<void(RankContext&)>& body,
     if (error) std::rethrow_exception(error);
   }
   return report;
-}
-
-RunReport run_ranks(int ranks, const std::function<void(RankContext&)>& body,
-                    obs::Recorder* recorder, fault::FaultInjector* injector) {
-  RunOptions options;
-  options.recorder = recorder;
-  options.injector = injector;
-  return run_ranks(ranks, body, options);
 }
 
 }  // namespace anyblock::vmpi

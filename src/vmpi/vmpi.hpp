@@ -2,15 +2,16 @@
 //
 // The paper's runs use one MPI process per node with point-to-point tile
 // messages (Section II-C).  vmpi reproduces that model inside one process:
-// run_ranks() spawns R threads, each receiving a RankContext with the
-// familiar primitives — tagged send/recv, any-source probe/recv, barrier,
-// broadcast, reduce — plus per-rank traffic counters on both the send and
-// the receive side.  Sends are asynchronous (they enqueue and return, like
-// MPI_Isend with an eager protocol) so the owner-computes factorizations
-// cannot deadlock on send ordering; recv blocks until a matching message
-// arrives.  multisend() fans one payload out to many destinations through a
-// single shared buffer (no per-destination copy at send time) — the
-// primitive the comm::Multicast algorithms and broadcast() build on.
+// run_ranks() spawns R threads, each receiving a RankContext with exactly
+// the primitives the distributed factorizations call — tagged send, a
+// shared-buffer multisend, and a receive matched on (source, tag) — plus
+// per-rank traffic counters on both the send and the receive side.  Sends
+// are asynchronous (they enqueue and return, like MPI_Isend with an eager
+// protocol) so the owner-computes factorizations cannot deadlock on send
+// ordering; recv blocks until a matching message arrives.  multisend() fans
+// one payload out to many destinations through a single shared buffer (no
+// per-destination copy at send time) — the primitive the comm::Multicast
+// algorithms build on.
 //
 // This is how the library validates distributions end to end: the *actual*
 // message counts of a factorization run are compared against the paper's
@@ -26,8 +27,10 @@
 // Application code is unchanged — plain recv() transparently becomes
 // fault-aware — and traffic counters keep counting application-level
 // messages only, so the Eq. 1/2 cross-checks hold verbatim under faults.
-// Without an injector the original zero-overhead blocking paths run (one
-// null-pointer check per operation).
+// Every receive runs one loop: the timed recv() bounds each wait and
+// retransmits on timeout, the plain one waits without a deadline unless an
+// injector lends it the plan's timeouts.  Without an injector the only
+// fault-mode cost is one null-pointer check per operation.
 //
 // Transport seam: World is backend-agnostic.  By default every rank is a
 // thread of this process (the in-process backend — the original mailbox
@@ -40,15 +43,10 @@
 // remote processes are merged through the transport after the bodies join.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -60,9 +58,6 @@ class Recorder;
 
 namespace anyblock::vmpi {
 
-/// Matches any source rank in recv().
-inline constexpr int kAnySource = -1;
-
 struct TrafficStats {
   std::int64_t messages_sent = 0;
   std::int64_t doubles_sent = 0;
@@ -70,14 +65,7 @@ struct TrafficStats {
   std::int64_t doubles_received = 0;
 };
 
-/// The (source, tag) header of a queued message, as returned by probe()
-/// and recv_any().
-struct Envelope {
-  int source;
-  std::int64_t tag;
-};
-
-/// Controls the timeout-aware receive variants.  The first wait lasts
+/// Controls the timeout-aware receive.  The first wait lasts
 /// `timeout_seconds`; every retry doubles it (bounded exponential backoff)
 /// until `max_retries` retransmissions have been spent, after which
 /// RecvTimeoutError escapes.
@@ -109,10 +97,10 @@ class RecvTimeoutError : public std::runtime_error {
   int attempts_;
 };
 
-/// Another rank body of this run threw, so no message or barrier this rank
-/// waits for can be trusted to come: a recv, recv_any or barrier that finds
-/// the run aborted throws this instead of blocking forever.  run_ranks()
-/// rethrows the original error, never this one.
+/// Another rank body of this run threw, so no message this rank waits for
+/// can be trusted to come: a recv that finds the run aborted throws this
+/// instead of blocking forever.  run_ranks() rethrows the original error,
+/// never this one.
 class RunAborted : public std::runtime_error {
  public:
   RunAborted() : std::runtime_error("vmpi: run aborted by another rank") {}
@@ -150,27 +138,6 @@ class RankContext {
   /// retransmissions are exhausted.
   Payload recv(int source, std::int64_t tag, const RecvOptions& options);
 
-  /// Non-blocking: the envelope of the oldest queued message, if any.
-  [[nodiscard]] std::optional<Envelope> probe();
-
-  /// Blocks until any message arrives and delivers the oldest queued one,
-  /// returning its (source, tag) alongside the payload.
-  std::pair<Envelope, Payload> recv_any();
-
-  /// Timeout-aware recv_any(); same recovery semantics as timed recv(),
-  /// retransmitting across every pending stream on timeout.
-  std::pair<Envelope, Payload> recv_any(const RecvOptions& options);
-
-  /// Blocks until all ranks reach the barrier.
-  void barrier();
-
-  /// Root's payload is distributed to everyone (returns it on all ranks).
-  /// Implemented over multisend: one shared buffer, not one copy per rank.
-  Payload broadcast(int root, Payload data);
-
-  /// Element-wise sum across ranks; every rank gets the total.
-  Payload allreduce_sum(Payload data);
-
   [[nodiscard]] TrafficStats traffic() const;
 
  private:
@@ -204,11 +171,10 @@ struct RunOptions {
 /// Spawns one thread per *local* rank running `body` and joins them; under
 /// the in-process backend every rank is local.  When a local rank body
 /// throws, the run is aborted: every local rank blocked in (or later
-/// entering) recv, recv_any or barrier gets RunAborted, so the threads
-/// join instead of waiting for messages that will never come.  The first
-/// original exception (lowest local rank) is rethrown after all threads
-/// joined.  Ranks in other processes of a multi-process transport are not
-/// aborted.
+/// entering) recv gets RunAborted, so the threads join instead of waiting
+/// for messages that will never come.  The first original exception
+/// (lowest local rank) is rethrown after all threads joined.  Ranks in
+/// other processes of a multi-process transport are not aborted.
 ///
 /// With a non-null `recorder`, every send/multisend/recv is recorded as an
 /// obs event on a per-rank track ("rank N"), carrying source/dest/tag/byte
@@ -224,12 +190,6 @@ struct RunOptions {
 /// field carries the injector's counters after the run (summed across
 /// processes under a multi-process transport, like the per-rank traffic).
 RunReport run_ranks(int ranks, const std::function<void(RankContext&)>& body,
-                    const RunOptions& options);
-
-/// Convenience overload preserved from the thread-ranks-only era; runs over
-/// the ambient transport.
-RunReport run_ranks(int ranks, const std::function<void(RankContext&)>& body,
-                    obs::Recorder* recorder = nullptr,
-                    fault::FaultInjector* injector = nullptr);
+                    const RunOptions& options = {});
 
 }  // namespace anyblock::vmpi

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cost.hpp"
 #include "util/math.hpp"
@@ -55,6 +56,43 @@ TEST(Gcrm, SeedsChangeTheResult) {
   for (std::uint64_t seed = 1; seed < 8 && !any_different; ++seed)
     any_different = !(gcrm_build(23, 14, seed).pattern == base.pattern);
   EXPECT_TRUE(any_different);
+}
+
+/// Renames nodes in order of first appearance (row-major scan), free cells
+/// staying free: patterns that differ only by node naming share one form.
+Pattern canonical_relabel(const Pattern& pattern) {
+  std::vector<NodeId> rename(static_cast<std::size_t>(pattern.num_nodes()),
+                             Pattern::kFree);
+  NodeId next = 0;
+  Pattern result(pattern.rows(), pattern.cols(), pattern.num_nodes());
+  for (std::int64_t i = 0; i < pattern.rows(); ++i) {
+    for (std::int64_t j = 0; j < pattern.cols(); ++j) {
+      const NodeId n = pattern.at(i, j);
+      if (n == Pattern::kFree) continue;
+      NodeId& mapped = rename[static_cast<std::size_t>(n)];
+      if (mapped == Pattern::kFree) mapped = next++;
+      result.set(i, j, mapped);
+    }
+  }
+  return result;
+}
+
+TEST(Gcrm, SeedsProduceInequivalentPatterns) {
+  // Fig. 9's spread comes from genuinely different structures, not just
+  // node renamings.
+  const GcrmResult a = gcrm_build(23, 14, 1);
+  const GcrmResult b = gcrm_build(23, 14, 2);
+  ASSERT_TRUE(a.valid);
+  ASSERT_TRUE(b.valid);
+  // The canonical form sees through a renaming: swap nodes 0 and 1.
+  Pattern renamed = a.pattern;
+  for (std::int64_t i = 0; i < renamed.rows(); ++i)
+    for (std::int64_t j = 0; j < renamed.cols(); ++j)
+      if (const NodeId n = a.pattern.at(i, j); n == 0 || n == 1)
+        renamed.set(i, j, 1 - n);
+  ASSERT_FALSE(renamed == a.pattern);
+  EXPECT_EQ(canonical_relabel(renamed), canonical_relabel(a.pattern));
+  EXPECT_FALSE(canonical_relabel(a.pattern) == canonical_relabel(b.pattern));
 }
 
 struct GcrmCase {

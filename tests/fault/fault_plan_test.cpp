@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -235,18 +236,19 @@ TEST(TimedRecv, RetryRecoversDroppedMessageWithExactCounts) {
   FaultInjector injector(plan);
   obs::Recorder recorder;
   vmpi::Payload received;
+  std::latch sent(1);  // the drop happened before the receiver waits
   const vmpi::RunReport report = vmpi::run_ranks(
       2,
       [&](vmpi::RankContext& ctx) {
         if (ctx.rank() == 0) {
           ctx.send(1, 5, vmpi::Payload{1.0, 2.0, 3.0});
-          ctx.barrier();  // the drop happened before the receiver waits
+          sent.count_down();
         } else {
-          ctx.barrier();
+          sent.wait();
           received = ctx.recv(0, 5);
         }
       },
-      &recorder, &injector);
+      {&recorder, &injector});
   EXPECT_EQ(received, (vmpi::Payload{1.0, 2.0, 3.0}));
   // Deterministic tally: original send dropped, first retransmit dropped,
   // second retransmit capped by max_drops_per_message and delivered.
@@ -285,19 +287,20 @@ TEST(TimedRecv, ExhaustedRetriesEscapeRunRanks) {
   plan.recv_timeout_ms = 5.0;
   plan.max_retries = 2;
   FaultInjector injector(plan);
+  std::latch sent(1);
   EXPECT_THROW(
       vmpi::run_ranks(
           2,
-          [](vmpi::RankContext& ctx) {
+          [&sent](vmpi::RankContext& ctx) {
             if (ctx.rank() == 0) {
               ctx.send(1, 9, vmpi::Payload{4.0});
-              ctx.barrier();
+              sent.count_down();
             } else {
-              ctx.barrier();
+              sent.wait();
               ctx.recv(0, 9);
             }
           },
-          nullptr, &injector),
+          {nullptr, &injector}),
       vmpi::RecvTimeoutError);
   EXPECT_EQ(injector.stats().retries, 2);
 }
@@ -317,7 +320,7 @@ TEST(Duplicates, AreDiscardedBySequenceNumber) {
           for (int i = 0; i < 4; ++i) values.push_back(ctx.recv(0, 7)[0]);
         }
       },
-      nullptr, &injector);
+      {nullptr, &injector});
   EXPECT_EQ(values, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
   EXPECT_EQ(report.faults.duplicates, 4);
   // Receives discard every stale copy they scan past; the duplicate of the
@@ -343,7 +346,7 @@ TEST(Delays, PreservePerStreamFifoOrder) {
           for (int i = 0; i < 5; ++i) values.push_back(ctx.recv(0, 3)[0]);
         }
       },
-      nullptr, &injector);
+      {nullptr, &injector});
   // Jittered delays can reorder deliveries on the wire; sequence numbers
   // must re-establish the send order at the receiver.
   EXPECT_EQ(values, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));

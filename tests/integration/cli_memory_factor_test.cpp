@@ -86,6 +86,12 @@ TEST(MemoryFactorCli, RecommendReportsTheStackingInBothFormats) {
       << json.output;
   EXPECT_NE(json.output.find("\"base_nodes\":23"), std::string::npos)
       << json.output;
+  // LU's G-2DBC base is built in closed form, never searched.
+  const CliResult lu =
+      run_cli("recommend --nodes 23 --kernel lu --format json");
+  EXPECT_EQ(lu.exit_code, 0) << lu.output;
+  EXPECT_NE(lu.output.find("\"source\":\"closed-form\""), std::string::npos)
+      << lu.output;
 }
 
 }  // namespace

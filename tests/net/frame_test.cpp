@@ -58,13 +58,6 @@ TEST(Frame, EmptyPayloadRoundTrip) {
   EXPECT_TRUE(frame.message.data.empty());
 }
 
-TEST(Frame, BarrierRoundTrip) {
-  const Frame frame =
-      decode_frame(body_of(encode_barrier(std::uint64_t{1} << 60)));
-  EXPECT_EQ(frame.type, FrameType::kBarrier);
-  EXPECT_EQ(frame.generation, std::uint64_t{1} << 60);
-}
-
 TEST(Frame, BlobRoundTrip) {
   const std::string bytes("\x00\x01\xffpayload", 10);
   const Frame frame = decode_frame(body_of(encode_blob(2, bytes)));
@@ -114,7 +107,7 @@ TEST(Connection, DeliversFramesThatArriveTogetherWithEof) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string bytes =
-      encode_blob_all({"zero", "one", "two"}) + encode_barrier(3);
+      encode_blob_all({"zero", "one", "two"}) + encode_blob(1, "tail");
   ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
   close(fds[1]);
@@ -128,8 +121,8 @@ TEST(Connection, DeliversFramesThatArriveTogetherWithEof) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, FrameType::kBlobAll);
   EXPECT_EQ(frames[0].blobs.size(), 3u);
-  EXPECT_EQ(frames[1].type, FrameType::kBarrier);
-  EXPECT_EQ(frames[1].generation, 3u);
+  EXPECT_EQ(frames[1].type, FrameType::kBlob);
+  EXPECT_EQ(frames[1].blob, "tail");
 }
 
 }  // namespace

@@ -5,15 +5,13 @@
 //
 // The socket entry hosts BOTH endpoints of a 2-process mesh inside this
 // test process (each driven from its own thread over a loopback socket
-// pair), which exercises the full wire path — framing, epoll loop, barrier
-// markers, blob gather — while keeping the suite a plain in-process gtest.
+// pair), which exercises the full wire path — framing, epoll loop, blob
+// gather — while keeping the suite a plain in-process gtest.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -180,27 +178,30 @@ TEST_P(TransportConformance, MultisendFansOutWithExactCounts) {
   EXPECT_EQ(report.total_doubles(), 2 * (kRanks - 1));
 }
 
-TEST_P(TransportConformance, RecvAnyDrainsEverySource) {
+TEST_P(TransportConformance, PerSourceRecvDrainsEverySource) {
+  // Every other rank sends to the last one, which drains the sources in
+  // descending order — a panel owner's fan-in.  Under the socket backend
+  // the low ranks sit across the process boundary, so their messages queue
+  // in the mailbox while the local ones are drained first.
   static constexpr int kPerSource = 8;
-  GetParam().run(kRanks, [](RankContext& ctx) {
+  const RunReport report = GetParam().run(kRanks, [](RankContext& ctx) {
     const int last = ctx.size() - 1;
     if (ctx.rank() == last) {
-      // recv_any must not starve any source: all senders' messages arrive.
-      std::vector<int> seen(static_cast<std::size_t>(ctx.size()), 0);
-      for (int k = 0; k < kPerSource * (ctx.size() - 1); ++k) {
-        const auto [envelope, data] = ctx.recv_any();
-        EXPECT_EQ(envelope.tag, 11);
-        EXPECT_EQ(data.at(0), envelope.source);
-        ++seen[static_cast<std::size_t>(envelope.source)];
-      }
-      for (int r = 0; r < last; ++r)
-        EXPECT_EQ(seen[static_cast<std::size_t>(r)], kPerSource);
-      EXPECT_FALSE(ctx.probe().has_value());
+      for (int source = last - 1; source >= 0; --source)
+        for (int k = 0; k < kPerSource; ++k)
+          EXPECT_EQ(ctx.recv(source, /*tag=*/11),
+                    (Payload{static_cast<double>(source),
+                             static_cast<double>(k)}));
+      EXPECT_EQ(ctx.traffic().messages_received, kPerSource * last);
     } else {
       for (int k = 0; k < kPerSource; ++k)
-        ctx.send(last, /*tag=*/11, Payload{static_cast<double>(ctx.rank())});
+        ctx.send(last, /*tag=*/11,
+                 Payload{static_cast<double>(ctx.rank()),
+                         static_cast<double>(k)});
     }
   });
+  EXPECT_EQ(report.total_messages(), kPerSource * (kRanks - 1));
+  EXPECT_EQ(report.total_messages_received(), kPerSource * (kRanks - 1));
 }
 
 TEST_P(TransportConformance, TimedRecvThrowsAfterRetries) {
@@ -214,43 +215,6 @@ TEST_P(TransportConformance, TimedRecvThrowsAfterRetries) {
                        ctx.recv(1, /*tag=*/404, options);
                      }),
       vmpi::RecvTimeoutError);
-}
-
-TEST_P(TransportConformance, BarrierMakesPriorSendsVisible) {
-  GetParam().run(kRanks, [](RankContext& ctx) {
-    const int last = ctx.size() - 1;
-    if (ctx.rank() == 0)
-      ctx.send(last, /*tag=*/21, Payload{4.0});
-    ctx.barrier();
-    if (ctx.rank() == last) {
-      // The barrier's delivery-visibility guarantee: the pre-barrier send
-      // is already queued, so a non-blocking probe must see it.
-      const auto envelope = ctx.probe();
-      ASSERT_TRUE(envelope.has_value());
-      EXPECT_EQ(envelope->source, 0);
-      EXPECT_EQ(envelope->tag, 21);
-      EXPECT_EQ(ctx.recv(0, 21).at(0), 4.0);
-    }
-    ctx.barrier();  // back-to-back barriers must not wedge
-  });
-}
-
-TEST_P(TransportConformance, BroadcastAndAllreduceAgreeEverywhere) {
-  constexpr int kRoot = kRanks - 1;  // remote from rank 0 under socket
-  std::mutex mutex;
-  std::vector<double> sums;
-  GetParam().run(kRanks, [&](RankContext& ctx) {
-    const Payload value = ctx.broadcast(
-        kRoot, ctx.rank() == kRoot ? Payload{6.5, -1.0} : Payload{});
-    EXPECT_EQ(value, (Payload{6.5, -1.0}));
-    const Payload total =
-        ctx.allreduce_sum(Payload{static_cast<double>(ctx.rank())});
-    const std::lock_guard<std::mutex> lock(mutex);
-    sums.push_back(total.at(0));
-  });
-  ASSERT_EQ(sums.size(), static_cast<std::size_t>(kRanks));
-  for (const double sum : sums)
-    EXPECT_EQ(sum, kRanks * (kRanks - 1) / 2.0);
 }
 
 TEST_P(TransportConformance, RepeatedRunsAreIndependent) {

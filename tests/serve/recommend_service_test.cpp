@@ -65,7 +65,8 @@ TEST(RecommendService, SecondQueryHitsTheStoreFast) {
 
 TEST(RecommendService, LuQueriesAreMemoizedToo) {
   RecommendService service(fast_service());
-  EXPECT_EQ(service.recommend(23, core::Kernel::kLu).source, Source::kSearch);
+  EXPECT_EQ(service.recommend(23, core::Kernel::kLu).source,
+            Source::kClosedForm);
   EXPECT_EQ(service.recommend(23, core::Kernel::kLu).source, Source::kStore);
   // Symmetric and LU entries are distinct keys for the same P.
   EXPECT_EQ(service.recommend(23, core::Kernel::kCholesky).source,

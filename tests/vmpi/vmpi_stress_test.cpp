@@ -71,151 +71,6 @@ TEST(VmpiStress, RingPipelineManyRounds) {
   });
 }
 
-TEST(VmpiStress, BarrierStorm) {
-  constexpr int kRanks = 8;
-  std::atomic<std::int64_t> counter{0};
-  std::atomic<bool> violated{false};
-  run_ranks(kRanks, [&](RankContext& ctx) {
-    for (int round = 0; round < 100; ++round) {
-      ++counter;
-      ctx.barrier();
-      // Between two barriers every rank must observe the same multiple.
-      if (counter.load() != static_cast<std::int64_t>(kRanks) * (round + 1))
-        violated = true;
-      ctx.barrier();
-    }
-  });
-  EXPECT_FALSE(violated.load());
-}
-
-TEST(VmpiStress, AnySourceHammeringKeepsPerPairFifoAndLosesNothing) {
-  // Every rank blasts kPerTag messages per (destination, tag) pair, then
-  // drains its mailbox with recv(kAnySource, tag) in a seed-scrambled tag
-  // order.  The any-source wildcard must still honor the per-(source, tag)
-  // FIFO guarantee — sequence numbers from one source on one tag arrive in
-  // send order — and no message may be lost or duplicated.
-  constexpr int kRanks = 8;
-  constexpr int kTags = 5;
-  constexpr int kPerTag = 40;
-  std::atomic<std::int64_t> violations{0};
-
-  const RunReport report = run_ranks(kRanks, [&](RankContext& ctx) {
-    const int self = ctx.rank();
-    for (int seq = 0; seq < kPerTag; ++seq) {
-      for (int dest = 0; dest < kRanks; ++dest) {
-        if (dest == self) continue;
-        for (int tag = 0; tag < kTags; ++tag) {
-          ctx.send(dest, tag,
-                   {static_cast<double>(self), static_cast<double>(tag),
-                    static_cast<double>(seq)});
-        }
-      }
-    }
-
-    Rng rng = Rng::for_stream(13, static_cast<std::uint64_t>(self));
-    std::vector<int> remaining(kTags, (kRanks - 1) * kPerTag);
-    // next expected sequence per (source, tag)
-    std::vector<std::vector<int>> next(
-        kRanks, std::vector<int>(kTags, 0));
-    int total = kTags * (kRanks - 1) * kPerTag;
-    while (total > 0) {
-      int tag = static_cast<int>(rng.below(kTags));
-      while (remaining[static_cast<std::size_t>(tag)] == 0)
-        tag = (tag + 1) % kTags;
-      const Payload data = ctx.recv(kAnySource, tag);
-      --remaining[static_cast<std::size_t>(tag)];
-      --total;
-      if (data.size() != 3 || data[1] != tag) {
-        ++violations;
-        continue;
-      }
-      const int source = static_cast<int>(data[0]);
-      auto& expected = next[static_cast<std::size_t>(source)]
-                           [static_cast<std::size_t>(tag)];
-      if (static_cast<int>(data[2]) != expected) ++violations;
-      ++expected;
-    }
-    // No lost messages: every (source, tag) stream ran to completion.
-    for (int source = 0; source < kRanks; ++source) {
-      if (source == self) continue;
-      for (int tag = 0; tag < kTags; ++tag) {
-        if (next[static_cast<std::size_t>(source)]
-                [static_cast<std::size_t>(tag)] != kPerTag)
-          ++violations;
-      }
-    }
-  });
-
-  EXPECT_EQ(violations.load(), 0);
-  const std::int64_t expected_messages =
-      static_cast<std::int64_t>(kRanks) * (kRanks - 1) * kTags * kPerTag;
-  EXPECT_EQ(report.total_messages(), expected_messages);
-  EXPECT_EQ(report.total_messages_received(), expected_messages);
-  EXPECT_EQ(report.total_doubles_received(), report.total_doubles());
-}
-
-TEST(VmpiStress, RecvAnyDrainsEverythingInPerSourceOrder) {
-  // recv_any pops the oldest queued message: within one source the arrival
-  // order is the send order, whatever the tags.  The returned envelope must
-  // match the payload's self-description.
-  constexpr int kRanks = 6;
-  constexpr int kCount = 60;
-  std::atomic<std::int64_t> violations{0};
-  run_ranks(kRanks, [&](RankContext& ctx) {
-    const int self = ctx.rank();
-    for (int seq = 0; seq < kCount; ++seq) {
-      for (int dest = 0; dest < kRanks; ++dest) {
-        if (dest == self) continue;
-        // Tag varies per message; per-source ordering must hold anyway.
-        ctx.send(dest, /*tag=*/seq % 7,
-                 {static_cast<double>(self), static_cast<double>(seq)});
-      }
-    }
-    std::vector<int> next(kRanks, 0);
-    for (int k = 0; k < (kRanks - 1) * kCount; ++k) {
-      const auto [envelope, data] = ctx.recv_any();
-      if (data.size() != 2 || static_cast<int>(data[0]) != envelope.source ||
-          envelope.tag != static_cast<std::int64_t>(data[1]) % 7) {
-        ++violations;
-        continue;
-      }
-      auto& expected = next[static_cast<std::size_t>(envelope.source)];
-      if (static_cast<int>(data[1]) != expected) ++violations;
-      ++expected;
-    }
-    for (int source = 0; source < kRanks; ++source) {
-      if (source != self && next[static_cast<std::size_t>(source)] != kCount)
-        ++violations;
-    }
-  });
-  EXPECT_EQ(violations.load(), 0);
-}
-
-TEST(VmpiStress, ProbeSeesTheOldestEnvelopeFirst) {
-  run_ranks(2, [&](RankContext& ctx) {
-    if (ctx.rank() == 0) {
-      EXPECT_FALSE(ctx.probe().has_value());
-      ctx.barrier();   // rank 1 sends after this barrier
-      ctx.barrier();   // both messages are queued now
-      const auto first = ctx.probe();
-      ASSERT_TRUE(first.has_value());
-      EXPECT_EQ(first->source, 1);
-      EXPECT_EQ(first->tag, 11);
-      const auto [envelope, data] = ctx.recv_any();
-      EXPECT_EQ(envelope.source, first->source);
-      EXPECT_EQ(envelope.tag, first->tag);
-      EXPECT_EQ(data, Payload{1.0});
-      EXPECT_EQ(ctx.recv_any().first.tag, 22);
-      EXPECT_FALSE(ctx.probe().has_value());
-    } else {
-      ctx.barrier();
-      ctx.send(0, 11, {1.0});
-      ctx.send(0, 22, {2.0});
-      ctx.barrier();
-    }
-  });
-}
-
 TEST(VmpiStress, LargePayloadsSurviveIntact) {
   constexpr int kDoubles = 1 << 16;  // 512 KiB per message
   run_ranks(2, [&](RankContext& ctx) {
